@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
+
+# _BYTE_BITS[b] lists the set-bit positions of the byte value b, ascending.
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -15,17 +19,20 @@ def mask_of(members: Iterable[int]) -> int:
 
 
 def bit_indices(x: int) -> list[int]:
-    """Set-bit positions of x, ascending."""
-    if x == 0:
-        return []
-    out = []
+    """Set-bit positions of x, ascending.
+
+    Walks the little-endian bytes of x: `compress` skips zero bytes at C
+    speed, which keeps sparse census blocks cheap, and each nonzero byte is
+    expanded from a table.  Peeling the lowest set bit of x instead would
+    cost a big-int operation per bit.
+    """
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    for i, byte in enumerate(data):
+    out: list[int] = []
+    append = out.append
+    for i in compress(range(len(data)), data):
         base = i << 3
-        while byte:
-            low = byte & -byte
-            out.append(base + low.bit_length() - 1)
-            byte ^= low
+        for j in _BYTE_BITS[data[i]]:
+            append(base + j)
     return out
 
 

@@ -2,10 +2,24 @@
 
 `enumerate_proper` scans the whole colouring space exactly.  Vertex 0 is
 pinned blue and the count doubled (a colouring and its complement are proper
-together), and the remaining space is swept in blocks encoded as huge-int bit
-patterns, so one block of 2**16 colourings costs a couple of word-parallel
-integer operations per edge.  Blocks merge in a fixed order, which keeps
-counts and materialized lists identical for any worker count.
+together).  The other v - 1 vertices are scan bits: the low 16 (or all of
+them, if fewer) vary inside a block of 2**16 colourings held as one big-int
+bit pattern, and the high ones are fixed per block, so 18 vertices make 2
+blocks and 26 make 512.
+
+Each edge splits into a low part (vertex 0 and the scan vertices inside a
+block) and a high part (the vertices fixed by the block).  The red and blue
+patterns of the low part are built once and ORed into tables keyed by the
+high part.  A block takes a red key when the key's vertices are all red in
+it and a blue key when they are all blue.  That is a small-int test per key
+and one big OR per key taken.  Once a block's monochromatic mask is full,
+the block has no proper colouring and its remaining keys are skipped.
+
+A table holds at most 2**_KEY_BITS keys per colour, about 1 MiB.  With more
+than _KEY_BITS high vertices, the top ones are fixed per pass: each of
+their colourings gets its own table, built only from the edge sides still
+live under it (top members all red for the red side, all blue for the blue
+side).  Counts and the sorted materialized list do not depend on the split.
 
 `is_two_colourable` is a backtracking decision procedure with unit
 propagation for instances past the exhaustive limit.  It always terminates
@@ -16,10 +30,8 @@ lowest-index uncoloured vertex, blue before red.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from propb._bits import bit_indices, mask_members, scan_bit_pattern, scan_ones, scan_popcount_pattern
 from propb.core import Hypergraph
@@ -28,12 +40,26 @@ DEFAULT_ENUM_LIMIT = 28
 ENUM_LIMIT_ENV = "PROPB_ENUM_LIMIT"
 
 _BLOCK_BITS = 16
+# Key bits per pass table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB.
+_KEY_BITS = 6
 
 
 def enumeration_limit() -> int:
-    """Vertex ceiling for exhaustive enumeration (env override: PROPB_ENUM_LIMIT)."""
+    """Vertex ceiling for exhaustive enumeration (env override: PROPB_ENUM_LIMIT).
+
+    Raises ValueError naming the variable when it is set to anything but a
+    nonnegative integer.
+    """
     raw = os.environ.get(ENUM_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_LIMIT
+    if not raw:
+        return DEFAULT_ENUM_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{ENUM_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -119,63 +145,9 @@ def monochromatic_edges(h: Hypergraph, c: Colouring) -> list[frozenset[int]]:
     return out
 
 
-def _scan_block(
-    edge_vertices: tuple[tuple[int, ...], ...],
-    v: int,
-    t_bits: int,
-    materialize: bool,
-    offset: int,
-) -> tuple[int, int, list[int]]:
-    """Census one block of 2**t_bits colourings starting at scan offset.
-
-    Scan index k maps to the colouring with red mask k << 1 (vertex 0 blue).
-    Bit b of k is vertex b+1; inside the block, bits below t_bits vary and
-    come from the cached periodic patterns, higher bits are fixed by offset.
-    """
-    size = 1 << t_bits
-    full = scan_ones(t_bits)
-    pats = [0] * v
-    for u in range(1, v):
-        b = u - 1
-        if b < t_bits:
-            pats[u] = scan_bit_pattern(b, t_bits)
-        elif (offset >> b) & 1:
-            pats[u] = full
-    cpats = [full ^ p for p in pats]
-
-    mono = 0
-    for members in edge_vertices:
-        red_mono = blue_mono = full
-        for u in members:
-            red_mono &= pats[u]
-            blue_mono &= cpats[u]
-        mono |= red_mono | blue_mono
-        if mono == full:
-            break
-    proper = full ^ mono
-
-    count = proper.bit_count()
-    balanced = 0
-    if count and v % 2 == 0:
-        wanted = v // 2 - offset.bit_count()
-        balanced = (proper & scan_popcount_pattern(t_bits, wanted)).bit_count()
-
-    reds: list[int] = []
-    if materialize and count:
-        data = proper.to_bytes((size + 7) // 8, "little")
-        for i, byte in enumerate(data):
-            base = i << 3
-            while byte:
-                low = byte & -byte
-                reds.append((offset | (base + low.bit_length() - 1)) << 1)
-                byte ^= low
-    return count, balanced, reds
-
-
 def enumerate_proper(
     h: Hypergraph,
     materialize: bool = False,
-    workers: int = 1,
     limit: int | None = None,
 ) -> EnumerationReport:
     """Exact count (and optionally the list) of proper colourings of h.
@@ -195,33 +167,116 @@ def enumerate_proper(
         cols = (Colouring(0, 0),) if materialize else None
         return EnumerationReport(total_proper=1, balanced_count=1, colourings=cols)
 
-    half_bits = v - 1
-    t_bits = min(half_bits, _BLOCK_BITS)
-    edge_vertices = tuple(mask_members(m) for m in h.edge_masks)
-    offsets = range(0, 1 << half_bits, 1 << t_bits)
-    scan = partial(_scan_block, edge_vertices, v, t_bits, materialize)
+    t_bits = min(v - 1, _BLOCK_BITS)
+    high_bits = v - 1 - t_bits
+    key_bits = min(high_bits, _KEY_BITS)
+    key_mask = (1 << key_bits) - 1
+    full = scan_ones(t_bits)
+    low_mask = (1 << t_bits) - 1
+    red_pats = [scan_bit_pattern(b, t_bits) for b in range(t_bits)]
+    blue_pats = [full ^ p for p in red_pats]
 
-    if workers > 1 and len(offsets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, offsets))
-    else:
-        parts = [scan(o) for o in offsets]
+    # Scan bit b is vertex b + 1.  Each edge keeps its low scan bits, its
+    # pass bits (the high bits above the key bits), its key bits and whether
+    # it holds vertex 0, sorted so that equal low prefixes are adjacent.
+    edges = []
+    for mask in h.edge_masks:
+        scan = mask >> 1
+        high = scan >> t_bits
+        edges.append((mask_members(scan & low_mask), high >> key_bits, high & key_mask, mask & 1))
+    edges.sort()
 
     total = 0
     balanced = 0
     red_masks: list[int] = []
-    for count, bal, reds in parts:
-        total += count
-        balanced += bal
-        red_masks.extend(reds)
+    for top in range(1 << (high_bits - key_bits)):
+        groups = _pass_table(edges, top, red_pats, blue_pats, full)
+        for key in range(1 << key_bits):
+            mono = 0
+            for group_key, want, pattern in groups:
+                if group_key & key == want:
+                    mono |= pattern
+                    if mono == full:
+                        break
+            else:
+                proper = full ^ mono
+                count = proper.bit_count()
+                if not count:
+                    continue
+                fixed = top << key_bits | key
+                total += count
+                if v % 2 == 0:
+                    wanted = v // 2 - fixed.bit_count()
+                    balanced += (proper & scan_popcount_pattern(t_bits, wanted)).bit_count()
+                if materialize:
+                    base = fixed << t_bits
+                    red_masks.extend([(base | k) << 1 for k in bit_indices(proper)])
+        del groups  # free this pass's table before the next one is built
 
     colourings = None
     if materialize:
-        full = (1 << v) - 1
-        both = red_masks + [full ^ r for r in red_masks]
+        full_mask = (1 << v) - 1
+        both = red_masks + [full_mask ^ r for r in red_masks]
         both.sort()
         colourings = tuple(Colouring(v, r) for r in both)
     return EnumerationReport(2 * total, 2 * balanced, colourings)
+
+
+def _pass_table(
+    edges: list[tuple[tuple[int, ...], int, int, int]],
+    top: int,
+    red_pats: list[int],
+    blue_pats: list[int],
+    full: int,
+) -> list[tuple[int, int, int]]:
+    """The table of one pass: (key, want, pattern) triples.
+
+    `top` colours the pass bits (1 = red).  An edge's red side is live when
+    its pass members are all red and it avoids vertex 0, which is pinned
+    blue; its blue side is live when its pass members are all blue.  A block
+    whose key bits are k takes a pattern iff key & k == want, so a red key
+    must lie within k and a blue key must miss it.
+    """
+    red = _or_by_key(
+        ((low, key) for low, pass_mask, key, has_zero in edges
+         if pass_mask & top == pass_mask and not has_zero),
+        red_pats,
+        full,
+    )
+    blue = _or_by_key(
+        ((low, key) for low, pass_mask, key, _ in edges if not pass_mask & top),
+        blue_pats,
+        full,
+    )
+    return [(k, k, p) for k, p in red.items()] + [(k, 0, p) for k, p in blue.items()]
+
+
+def _or_by_key(
+    sides: Iterable[tuple[tuple[int, ...], int]], pats: list[int], full: int
+) -> dict[int, int]:
+    """OR each side's pattern (the AND of pats over its low bits) by key.
+
+    Sides come sorted by low bits, so neighbours share a prefix of them;
+    `ands[i]` keeps the AND over the previous side's first i bits, and
+    only the bits past the shared prefix cost a big AND.
+    """
+    table: dict[int, int] = {}
+    prev: tuple[int, ...] = ()
+    ands = [full]
+    for low, key in sides:
+        shared = 0
+        for a, b in zip(prev, low):
+            if a != b:
+                break
+            shared += 1
+        del ands[shared + 1 :]
+        pattern = ands[shared]
+        for b in low[shared:]:
+            pattern &= pats[b]
+            ands.append(pattern)
+        prev = low
+        table[key] = table.get(key, 0) | pattern
+    return table
 
 
 def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:

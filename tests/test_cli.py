@@ -175,3 +175,16 @@ def test_env_limit_applies_to_cli(tmp_path, capsys, monkeypatch):
     code, _, err = run(["count", str(fano_path)], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_env_limit_is_one_error_line(tmp_path, capsys, monkeypatch, raw):
+    fano_path = tmp_path / "fano.txt"
+    run(["construct", "fano", "-o", str(fano_path)], capsys)
+    monkeypatch.setenv("PROPB_ENUM_LIMIT", raw)
+    code, out, err = run(["count", str(fano_path)], capsys)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: PROPB_ENUM_LIMIT must be a nonnegative integer, got '{raw}'"]
+    assert "Traceback" not in err

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from propb import colouring
 from propb import (
     Colouring,
     affine_plane_gf4,
     enumerate_proper,
+    enumeration_limit,
     fano,
     is_proper,
     is_two_colourable,
@@ -71,6 +73,9 @@ def test_enumerate_fixed_points():
     plane = enumerate_proper(affine_plane_gf4())
     assert plane.total_proper == 120
     assert plane.balanced_count == 120
+    # connected bipartite over 2 blocks: one split, two orientations
+    path = enumerate_proper(make_hypergraph(18, [{i, i + 1} for i in range(17)]), materialize=True)
+    assert [c.red_mask for c in path.colourings] == [0x15555, 0x2AAAA]
 
 
 def test_enumerate_matches_per_colouring_oracle():
@@ -131,16 +136,45 @@ def test_enumeration_limit_refusal(monkeypatch):
     assert enumerate_proper(fano()).total_proper == 0
 
 
-def test_worker_count_does_not_change_results():
-    rng = random.Random(99)
-    h = make_hypergraph(19, [rng.sample(range(19), rng.randint(2, 6)) for _ in range(12)])
-    reports = [enumerate_proper(h, workers=w) for w in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
+# With 2 (or 3) block bits, vertices 0-2 (or 0-3) are low and the rest high.
+SPLIT_CASES = [
+    make_hypergraph(2, [{0, 1}]),
+    make_hypergraph(3, [{1, 2}]),
+    triangle(),
+    make_hypergraph(10, [{0, 9}, {4, 5, 6}, {7, 8}]),
+    # vertex 0; no high members; no low members; low and high members
+    make_hypergraph(11, [{0, 5, 9}, {0, 1}, {1, 2}, {7, 10}, {8, 9, 10}, {2, 3, 4, 6}]),
+    make_hypergraph(12, [{0, 2, 11}, {1, 2}, {7, 8, 11}, {3, 4, 5, 9, 10}, {1, 6, 10}]),
+    # uncolourable: every block leaves early
+    make_hypergraph(10, list(fano().edges) + [{7, 8, 9}]),
+    # dense: one 2-edge, so half of all colourings are proper
+    make_hypergraph(12, [{3, 10}]),
+]
 
-    path = make_hypergraph(18, [{i, i + 1} for i in range(17)])
-    mats = [enumerate_proper(path, materialize=True, workers=w) for w in (1, 2, 4)]
-    assert mats[0] == mats[1] == mats[2]
-    assert mats[0].total_proper == 2  # connected bipartite: one split, two orientations
+
+@pytest.mark.parametrize("block_bits,key_bits", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
+    """Tiny blocks and tables force many blocks, many passes and split edges."""
+    monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
+    rng = random.Random(31)
+    randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(12)]
+    for h in SPLIT_CASES + randoms:
+        total, balanced, reds = census_oracle(h)
+        report = enumerate_proper(h, materialize=True)
+        assert report.total_proper == total
+        assert report.balanced_count == balanced
+        assert [c.red_mask for c in report.colourings] == reds
+    assert enumerate_proper(SPLIT_CASES[-1]).total_proper == 1 << 11
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
+def test_enumeration_limit_env_is_validated(monkeypatch, raw):
+    monkeypatch.setenv("PROPB_ENUM_LIMIT", raw)
+    with pytest.raises(ValueError, match="PROPB_ENUM_LIMIT must be a nonnegative integer"):
+        enumeration_limit()
+    with pytest.raises(ValueError, match="PROPB_ENUM_LIMIT"):
+        enumerate_proper(fano())
 
 
 def test_decision_agrees_with_enumeration():
