@@ -175,10 +175,13 @@ class AlterationParams:
         The blocking edge size is ceil(n*n/4) with a floor of 2 (the floor
         only binds at n = 2, where a 1-vertex edge would be degenerate), and
         v is twice that, so half the vertices always carry one colour and a
-        blocking edge can be carved from the majority class.
+        blocking edge can be carved from the majority class.  Negative seeds
+        are rejected: random.Random seeds on abs(seed), so -s would repeat s.
         """
         if n < 2:
             raise ValueError("edge size must be at least 2")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         if max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
         big = max(2, (n * n + 3) // 4)

@@ -1,37 +1,38 @@
-"""Two-colouring engines.
+"""Two-colouring search: one lex-ordered traversal counts, lists and decides.
 
-`enumerate_proper` scans the whole colouring space exactly.  Vertex 0 is
-pinned blue and the count doubled (a colouring and its complement are proper
-together).  The other v - 1 vertices are scan bits: the low 16 (or all of
-them, if fewer) vary inside a block of 2**16 colourings held as one big-int
-bit pattern, and the high ones are fixed per block, so 18 vertices make 2
-blocks and 26 make 512.
+Vertex 0 is pinned blue; a colouring and its complement are proper together,
+so counts are doubled.  The other vertices fall into three stages, in vertex
+order:
 
-Each edge splits into a low part (vertex 0 and the scan vertices inside a
-block) and a high part (the vertices fixed by the block).  The red and blue
-patterns of the low part are built once and ORed into tables keyed by the
-high part.  A block takes a red key when the key's vertices are all red in
-it and a blue key when they are all blue.  That is a small-int test per key
-and one big OR per key taken.  Once a block's monochromatic mask is full,
-the block has no proper colouring and its remaining keys are skipped.
+- branch: vertices 1..p are searched depth first on the lowest-index free
+  vertex, blue before red.  Each assignment is propagated over all edges: a
+  monochromatic edge prunes the branch, and an edge whose coloured members
+  share a colour with one member left forces that member to the other colour.
+- key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
+- block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
+  colourings held as one big-int bit pattern.
 
-A table holds at most 2**_KEY_BITS keys per colour, about 1 MiB.  With more
-than _KEY_BITS high vertices, the top ones are fixed per pass: each of
-their colourings gets its own table, built only from the edge sides still
-live under it (top members all red for the red side, all blue for the blue
-side).  Counts and the sorted materialized list do not depend on the split.
+At a leaf, an edge's red side is live when none of its members is blue, and
+its blue side when none is red.  The pattern of a live side (the AND of its
+block members' colour patterns) is ORed into a table keyed by its key
+members.  A key takes a red entry when the entry's key vertices are all red
+in it and a blue entry when they are all blue; once the key's monochromatic
+mask is full, its remaining entries are skipped.  Keys that contradict a
+vertex that propagation forced are skipped, and block colourings that do so
+start out monochromatic.
 
-`is_two_colourable` is a backtracking decision procedure with unit
-propagation for instances past the exhaustive limit.  It always terminates
-(worst case exponential) and its witness is reproducible: branching is on the
-lowest-index uncoloured vertex, blue before red.
+Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
+red).  `enumerate_proper` sums and lists every proper block, while
+`is_two_colourable` stops at the first one and narrows it to its lex-first
+colouring.  With 18 vertices the search is one leaf of 2 keys; with 26 it is
+at most 8 leaves of 64 keys.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from propb._bits import bit_indices, mask_members, scan_bit_pattern, scan_ones, scan_popcount_pattern
 from propb.core import Hypergraph
@@ -40,7 +41,7 @@ DEFAULT_ENUM_LIMIT = 28
 ENUM_LIMIT_ENV = "PROPB_ENUM_LIMIT"
 
 _BLOCK_BITS = 16
-# Key bits per pass table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB.
+# Key bits per leaf table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB.
 _KEY_BITS = 6
 
 
@@ -72,7 +73,7 @@ class Colouring:
     def __post_init__(self) -> None:
         if self.v < 0:
             raise ValueError("vertex count must be nonnegative")
-        if not 0 <= self.red_mask < (1 << self.v):
+        if self.red_mask < 0 or self.red_mask.bit_length() > self.v:
             raise ValueError("red set out of range for vertex count")
 
     @classmethod
@@ -167,51 +168,17 @@ def enumerate_proper(
         cols = (Colouring(0, 0),) if materialize else None
         return EnumerationReport(total_proper=1, balanced_count=1, colourings=cols)
 
-    t_bits = min(v - 1, _BLOCK_BITS)
-    high_bits = v - 1 - t_bits
-    key_bits = min(high_bits, _KEY_BITS)
-    key_mask = (1 << key_bits) - 1
-    full = scan_ones(t_bits)
-    low_mask = (1 << t_bits) - 1
-    red_pats = [scan_bit_pattern(b, t_bits) for b in range(t_bits)]
-    blue_pats = [full ^ p for p in red_pats]
-
-    # Scan bit b is vertex b + 1.  Each edge keeps its low scan bits, its
-    # pass bits (the high bits above the key bits), its key bits and whether
-    # it holds vertex 0, sorted so that equal low prefixes are adjacent.
-    edges = []
-    for mask in h.edge_masks:
-        scan = mask >> 1
-        high = scan >> t_bits
-        edges.append((mask_members(scan & low_mask), high >> key_bits, high & key_mask, mask & 1))
-    edges.sort()
-
+    t = _block_bits(v)
     total = 0
     balanced = 0
     red_masks: list[int] = []
-    for top in range(1 << (high_bits - key_bits)):
-        groups = _pass_table(edges, top, red_pats, blue_pats, full)
-        for key in range(1 << key_bits):
-            mono = 0
-            for group_key, want, pattern in groups:
-                if group_key & key == want:
-                    mono |= pattern
-                    if mono == full:
-                        break
-            else:
-                proper = full ^ mono
-                count = proper.bit_count()
-                if not count:
-                    continue
-                fixed = top << key_bits | key
-                total += count
-                if v % 2 == 0:
-                    wanted = v // 2 - fixed.bit_count()
-                    balanced += (proper & scan_popcount_pattern(t_bits, wanted)).bit_count()
-                if materialize:
-                    base = fixed << t_bits
-                    red_masks.extend([(base | k) << 1 for k in bit_indices(proper)])
-        del groups  # free this pass's table before the next one is built
+    for base, proper in _proper_blocks(h):
+        total += proper.bit_count()
+        if v % 2 == 0:
+            wanted = v // 2 - base.bit_count()
+            balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
+        if materialize:
+            red_masks.extend([base | j << v - t for j in bit_indices(proper)])
 
     colourings = None
     if materialize:
@@ -222,71 +189,40 @@ def enumerate_proper(
     return EnumerationReport(2 * total, 2 * balanced, colourings)
 
 
-def _pass_table(
-    edges: list[tuple[tuple[int, ...], int, int, int]],
-    top: int,
-    red_pats: list[int],
-    blue_pats: list[int],
-    full: int,
-) -> list[tuple[int, int, int]]:
-    """The table of one pass: (key, want, pattern) triples.
+def _block_bits(v: int) -> int:
+    """Scan-block width: the top min(v - 1, _BLOCK_BITS) vertices."""
+    return min(max(v - 1, 0), _BLOCK_BITS)
 
-    `top` colours the pass bits (1 = red).  An edge's red side is live when
-    its pass members are all red and it avoids vertex 0, which is pinned
-    blue; its blue side is live when its pass members are all blue.  A block
-    whose key bits are k takes a pattern iff key & k == want, so a red key
-    must lie within k and a blue key must miss it.
+
+def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
+    """Yield (base, proper) for each block that holds a proper colouring, in lex order.
+
+    Vertex 0 is blue throughout.  With t = _block_bits(h.v), `base` colours
+    the vertices below the block (bit i set: vertex i red) and bit j of
+    `proper` is set iff base | j << (v - t) is a proper colouring.
     """
-    red = _or_by_key(
-        ((low, key) for low, pass_mask, key, has_zero in edges
-         if pass_mask & top == pass_mask and not has_zero),
-        red_pats,
-        full,
-    )
-    blue = _or_by_key(
-        ((low, key) for low, pass_mask, key, _ in edges if not pass_mask & top),
-        blue_pats,
-        full,
-    )
-    return [(k, k, p) for k, p in red.items()] + [(k, 0, p) for k, p in blue.items()]
-
-
-def _or_by_key(
-    sides: Iterable[tuple[tuple[int, ...], int]], pats: list[int], full: int
-) -> dict[int, int]:
-    """OR each side's pattern (the AND of pats over its low bits) by key.
-
-    Sides come sorted by low bits, so neighbours share a prefix of them;
-    `ands[i]` keeps the AND over the previous side's first i bits, and
-    only the bits past the shared prefix cost a big AND.
-    """
-    table: dict[int, int] = {}
-    prev: tuple[int, ...] = ()
-    ands = [full]
-    for low, key in sides:
-        shared = 0
-        for a, b in zip(prev, low):
-            if a != b:
-                break
-            shared += 1
-        del ands[shared + 1 :]
-        pattern = ands[shared]
-        for b in low[shared:]:
-            pattern &= pats[b]
-            ands.append(pattern)
-        prev = low
-        table[key] = table.get(key, 0) | pattern
-    return table
-
-
-def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
-    """Decide 2-colourability; returns (True, witness) or (False, None)."""
     v = h.v
-    full = (1 << v) - 1
+    if v == 0:
+        yield 0, 1  # the empty colouring
+        return
+    t = _block_bits(v)
+    shift = v - t
+    k = min(shift - 1, _KEY_BITS)
+    key_base = shift - k
+    key_mask = (1 << k) - 1
+    full = scan_ones(t)
+    red_pats = [scan_bit_pattern(b, t) for b in range(t)]
+    blue_pats = [full ^ p for p in red_pats]
+    # Key bit i is vertex key_base + i; sorting keys by their reversed bit
+    # strings puts the lowest key vertex first and blue before red.
+    keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
+    # Sorted by block members, so _or_by_key can share AND prefixes.
+    edges = sorted((mask_members(m >> shift), m >> key_base & key_mask, m) for m in h.edge_masks)
     incident: list[list[int]] = [[] for _ in range(v)]
-    for mask in h.edge_masks:
-        for u in mask_members(mask):
-            incident[u].append(mask)
+    if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
+        for mask in h.edge_masks:
+            for u in mask_members(mask):
+                incident[u].append(mask)
 
     red = 0
     blue = 0
@@ -336,24 +272,93 @@ def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
             else:
                 blue ^= bit
 
+    branch = (1 << key_base) - 2  # vertices 1 .. key_base - 1
     stack: list[list[int]] = []  # frames: [vertex, tried_red, trail_mark]
+    ok = paint([(0, False)])
     while True:
-        free = full & ~(red | blue)
-        if free == 0:
-            return True, Colouring(v, red)
-        u = (free & -free).bit_length() - 1
-        stack.append([u, 0, len(trail)])
-        ok = paint([(u, False)])
-        while not ok:
-            if not stack:
-                return False, None
-            frame = stack[-1]
-            undo(frame[2])
-            if frame[1] == 0:
-                frame[1] = 1
-                ok = paint([(frame[0], True)])
-            else:
-                stack.pop()
+        if ok:
+            free = branch & ~(red | blue)
+            if free:
+                u = (free & -free).bit_length() - 1
+                stack.append([u, 0, len(trail)])
+                ok = paint([(u, False)])
+                continue
+            red_sides = ((low, gk) for low, gk, mask in edges if not mask & blue)
+            blue_sides = ((low, gk) for low, gk, mask in edges if not mask & red)
+            groups = [(gk, gk, p) for gk, p in _or_by_key(red_sides, red_pats, full).items()]
+            groups += [(gk, 0, p) for gk, p in _or_by_key(blue_sides, blue_pats, full).items()]
+            key_set = (red | blue) >> key_base & key_mask
+            key_red = red >> key_base & key_mask
+            barred = 0  # block colourings that contradict a forced block vertex
+            for b in bit_indices((red | blue) >> shift):
+                barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
+            base = red & ((1 << key_base) - 1)
+            for key in keys:
+                if key & key_set != key_red:
+                    continue
+                mono = barred
+                for group_key, want, pattern in groups:
+                    if group_key & key == want:
+                        mono |= pattern
+                        if mono == full:
+                            break
+                else:
+                    yield base | key << key_base, full ^ mono
+            del groups  # free this leaf's table before the next one is built
+        while stack and stack[-1][1]:
+            stack.pop()
+        if not stack:
+            return
+        frame = stack[-1]
+        undo(frame[2])
+        frame[1] = 1
+        ok = paint([(frame[0], True)])
+
+
+def _or_by_key(
+    sides: Iterable[tuple[tuple[int, ...], int]], pats: list[int], full: int
+) -> dict[int, int]:
+    """OR each side's pattern (the AND of pats over its low bits) by key.
+
+    Sides come sorted by low bits, so neighbours share a prefix of them;
+    `ands[i]` keeps the AND over the previous side's first i bits, and
+    only the bits past the shared prefix cost a big AND.
+    """
+    table: dict[int, int] = {}
+    prev: tuple[int, ...] = ()
+    ands = [full]
+    for low, key in sides:
+        shared = 0
+        for a, b in zip(prev, low):
+            if a != b:
+                break
+            shared += 1
+        del ands[shared + 1 :]
+        pattern = ands[shared]
+        for b in low[shared:]:
+            pattern &= pats[b]
+            ands.append(pattern)
+        prev = low
+        table[key] = table.get(key, 0) | pattern
+    return table
+
+
+def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
+    """Decide 2-colourability; returns (True, witness) or (False, None).
+
+    The witness is the lex-first proper colouring: vertex 0 first, blue
+    before red.  There is no vertex limit.
+    """
+    t = _block_bits(h.v)
+    for base, proper in _proper_blocks(h):
+        # Keep the blue half of the block's proper colourings wherever it is
+        # non-empty, lowest block vertex first; one colouring is left.
+        for b in range(t):
+            blue = proper & ~scan_bit_pattern(b, t)
+            if blue:
+                proper = blue
+        return True, Colouring(h.v, base | (proper.bit_length() - 1) << h.v - t)
+    return False, None
 
 
 def pair_opposites(colourings: Sequence[Colouring]) -> list[tuple[Colouring, Colouring]]:

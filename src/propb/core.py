@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from typing import Iterable
 
@@ -26,13 +27,15 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class DyadicValue:
     """Nonnegative rational numerator / 2**exponent in canonical form.
 
     Canonical means the numerator is odd or zero (and a zero value has
     exponent 0), so structural equality is value equality.  Addition,
-    subtraction, and comparison are exact integer arithmetic.
+    subtraction, and comparison are exact integer arithmetic; `__lt__` and
+    the value equality give the other comparisons.
     """
 
     numerator: int
@@ -81,24 +84,6 @@ class DyadicValue:
         a, b, _ = self._aligned(other)
         return a < b
 
-    def __le__(self, other: "DyadicValue") -> bool:
-        if not isinstance(other, DyadicValue):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other: "DyadicValue") -> bool:
-        if not isinstance(other, DyadicValue):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a > b
-
-    def __ge__(self, other: "DyadicValue") -> bool:
-        if not isinstance(other, DyadicValue):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a >= b
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
 
@@ -135,10 +120,9 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.v < 0:
             raise ValueError("vertex count must be nonnegative")
-        limit = 1 << self.v
         canon = sorted(set(self.edge_masks), key=_edge_sort_key)
         for mask in canon:
-            if mask <= 0 or mask >= limit:
+            if mask <= 0 or mask.bit_length() > self.v:
                 raise ValueError("edge mask out of range for vertex count")
             if mask.bit_count() < 2:
                 raise ValueError("every edge needs at least 2 vertices")

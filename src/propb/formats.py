@@ -5,13 +5,18 @@ edge per line as strictly increasing 0-based vertex indices separated by
 single spaces.  Lines starting with ``#`` are comments; writers never emit
 them.  Files are canonical: newline-terminated lines, no trailing
 whitespace, edges in canonical order, duplicate edge lines rejected rather
-than collapsed.
+than collapsed.  The vertex count may not exceed ``MAX_VERTICES`` (4096):
+each edge is held as a v-bit mask, so the cap bounds the memory one edge
+line can claim.
 """
 
 from __future__ import annotations
 
 from propb._bits import mask_members
 from propb.core import Hypergraph, make_hypergraph
+
+
+MAX_VERTICES = 4096
 
 
 class DocumentError(ValueError):
@@ -52,6 +57,8 @@ def parse(text: str) -> Hypergraph:
         raise DocumentError(f"line {lineno}: non-numeric header field") from exc
     if v < 0 or m < 0:
         raise DocumentError(f"line {lineno}: negative header field")
+    if v > MAX_VERTICES:
+        raise DocumentError(f"line {lineno}: vertex count {v} exceeds the cap of {MAX_VERTICES}")
 
     edges: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()

@@ -172,6 +172,10 @@ def test_params_validation():
         AlterationParams.for_edge_size(1, seed=0)
     with pytest.raises(ValueError):
         AlterationParams.for_edge_size(4, seed=0, max_retries=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        AlterationParams.for_edge_size(3, seed=-5)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_alteration(3, -5)
     with pytest.raises(ValueError):
         AlterationParams(
             n=4, v=9, m_prime=61, big_edge_size=4, survivor_threshold=16,

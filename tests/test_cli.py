@@ -2,7 +2,15 @@
 
 import pytest
 
-from propb import affine_plane_gf4, derive_h8, parse, run_alteration, serialize, triangle
+from propb import (
+    affine_plane_gf4,
+    derive_h8,
+    make_hypergraph,
+    parse,
+    run_alteration,
+    serialize,
+    triangle,
+)
 from propb.cli import cli
 
 
@@ -188,3 +196,34 @@ def test_bad_env_limit_is_one_error_line(tmp_path, capsys, monkeypatch, raw):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: PROPB_ENUM_LIMIT must be a nonnegative integer, got '{raw}'"]
     assert "Traceback" not in err
+
+
+def one_error_line(err):
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_past_limit_check_decides_and_count_refuses(tmp_path, capsys):
+    cycle = make_hypergraph(40, [{i, (i + 1) % 40} for i in range(40)])
+    path = write_doc(tmp_path, "cycle.txt", serialize(cycle))
+    code, out, _ = run(["check", path], capsys)
+    assert code == 0
+    assert out == "COLOURABLE red: " + " ".join(str(u) for u in range(1, 40, 2)) + "\n"
+    code, out, err = run(["count", path], capsys)
+    assert (code, out) == (2, "")
+    assert "exceeds the exhaustive enumeration limit" in one_error_line(err)
+
+
+def test_hostile_vertex_count_is_one_error_line(tmp_path, capsys):
+    path = write_doc(tmp_path, "huge.txt", "p 1000000000000 1\n0 1\n")
+    code, out, err = run(["q", path], capsys)
+    assert (code, out) == (2, "")
+    assert one_error_line(err) == "error: line 1: vertex count 1000000000000 exceeds the cap of 4096"
+
+
+def test_negative_seed_is_one_error_line(capsys):
+    code, out, err = run(["alteration", "--n", "3", "--seed", "-5"], capsys)
+    assert (code, out) == (2, "")
+    assert one_error_line(err) == "error: seed must be nonnegative"

@@ -1,7 +1,9 @@
-"""Colouring engines: the exhaustive scanner against a per-colouring oracle,
-and the backtracking decision procedure against the scanner."""
+"""The colouring search against per-colouring oracles: counts and lists
+against a scan of all colourings, decision witnesses against a scan in lex
+order, at the real stage sizes and at tiny ones."""
 
 import random
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from propb import (
     is_two_colourable,
     make_hypergraph,
     monochromatic_edges,
+    Hypergraph,
     paper_example,
     pair_opposites,
     seymour_toft,
@@ -35,6 +38,19 @@ def census_oracle(h):
             if 2 * r.bit_count() == h.v:
                 balanced += 1
     return total, balanced, reds
+
+
+def lex_first_oracle(h):
+    """Red mask of the first proper colouring in lex order, or None.
+
+    Lex order reads vertex 0 first and puts blue before red, so colouring x
+    of the scan paints vertex i red iff bit v - 1 - i of x is set.
+    """
+    for x in range(1 << h.v):
+        red = int(f"{x:0{h.v}b}"[::-1], 2)
+        if is_proper(h, Colouring(h.v, red)):
+            return red
+    return None
 
 
 def random_hypergraph(rng, max_v=10, max_edges=8, max_size=None):
@@ -187,6 +203,64 @@ def test_decision_agrees_with_enumeration():
             assert is_proper(h, witness)
         else:
             assert witness is None
+
+
+@pytest.mark.parametrize(
+    "block_bits,key_bits", [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 2), (2, 3), (3, 3)]
+)
+def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
+    """Tiny sizes put vertices in the branch, key and block stages at once;
+    small edges make propagation force vertices in each of them."""
+    monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
+    rng = random.Random(43)
+    randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(30)]
+    randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(30)]
+    for h in SPLIT_CASES + randoms:
+        red = lex_first_oracle(h)
+        expected = (False, None) if red is None else (True, Colouring(h.v, red))
+        assert is_two_colourable(h) == expected
+
+
+def random_uniform(v, size, m, seed):
+    rng = random.Random(seed)
+    return make_hypergraph(v, [rng.sample(range(v), size) for _ in range(m)])
+
+
+# Red vertices of the lex-first proper colouring, or None when there is none.
+# The witnesses were recorded from the earlier backtracking decision
+# procedure, which scanned vertices one at a time in lex order.
+PAST_LIMIT_CASES = [
+    (random_uniform(30, 3, 50, 1), [15, 19, 20, 21, 23, 24, 25, 26, 27, 28, 29]),
+    (
+        random_uniform(48, 3, 90, 2),
+        [3, 7, 8, 11, 14, 15, 17, 21, 22, 24, 25, 28, 29, 32, 33, 38, 39, 43, 44, 46, 47],
+    ),
+    (
+        random_uniform(64, 3, 120, 3),
+        [5, 8, 10, 12, 13, 17, 25, 27, 28, 30, 31, 37, 38, 39, 40, 42, 43, 47, 49, 50, 52,
+         54, 58, 59, 60, 61, 62],
+    ),
+    (
+        random_uniform(34, 4, 150, 4),
+        [4, 5, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21, 25, 27, 28, 29, 33],
+    ),
+    (random_uniform(34, 4, 200, 4), None),
+    # odd cycle of 2-edges: propagation alone refutes it
+    (make_hypergraph(41, [{i, (i + 1) % 41} for i in range(41)]), None),
+    # the 16-vertex example on vertices 14..29, behind 14 isolated vertices
+    (Hypergraph(30, tuple(m << 14 for m in paper_example().edge_masks)), None),
+]
+
+
+def test_decision_past_the_enumeration_limit():
+    budget = 10.0
+    started = time.perf_counter()
+    for h, red in PAST_LIMIT_CASES:
+        assert h.v > enumeration_limit()
+        expected = (False, None) if red is None else (True, Colouring.from_red(h.v, red))
+        assert is_two_colourable(h) == expected
+    assert time.perf_counter() - started < budget
 
 
 def test_decision_on_named_uncolourables():

@@ -1,5 +1,6 @@
 """Exact arithmetic and the hypergraph data model."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from propb import (
+    Colouring,
     DyadicValue,
+    Hypergraph,
     binomial,
     fano,
     make_hypergraph,
@@ -64,6 +67,7 @@ def test_dyadic_comparisons_match_fractions(a, b):
     assert (a <= b) == (fa <= fb)
     assert (a == b) == (fa == fb)
     assert (a > b) == (fa > fb)
+    assert (a >= b) == (fa >= fb)
 
 
 @given(dyadics, dyadics)
@@ -96,6 +100,9 @@ def test_dyadic_rejects_invalid():
         DyadicValue(1, -1)
     with pytest.raises(ValueError):
         DyadicValue(1, 4) - DyadicValue(1, 2)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(DyadicValue(1, 2), Fraction(1, 4))
 
 
 def test_duplicate_edges_collapse():
@@ -113,6 +120,16 @@ def test_make_hypergraph_validation():
     with pytest.raises(ValueError):
         make_hypergraph(-1, [])
     assert make_hypergraph(0, []).edge_count == 0
+
+
+def test_masks_are_range_checked_without_allocating_2_to_the_v():
+    huge = 10**12
+    assert Hypergraph(huge, (0b11,)).edge_count == 1
+    assert Colouring(huge, 0b1).red_count == 1
+    with pytest.raises(ValueError):
+        Hypergraph(3, (0b1001,))
+    with pytest.raises(ValueError):
+        Colouring(3, 0b1000)
 
 
 def test_canonical_edge_order_size_then_lex():

@@ -16,6 +16,7 @@ from propb import (
     seymour_toft,
     triangle,
 )
+from propb.formats import MAX_VERTICES
 
 
 def test_triangle_document():
@@ -71,6 +72,8 @@ def test_parse_errors():
         ("p 3\n", "header must be"),
         ("p three 3\n", "non-numeric header"),
         ("p -1 0\n", "negative header"),
+        (f"p {MAX_VERTICES + 1} 1\n0 1\n", "exceeds the cap of 4096"),
+        ("p 1000000000000 1\n0 1\n", "exceeds the cap of 4096"),
         ("p 3 1\n0 x\n", "non-numeric vertex"),
         ("p 3 1\n0\n", "fewer than 2"),
         ("p 3 1\n1 0\n", "strictly increasing"),
@@ -83,6 +86,7 @@ def test_parse_errors():
     for doc, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
             parse(doc)
+    assert parse(f"p {MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n").v == MAX_VERTICES
 
 
 def test_parse_errors_carry_line_numbers():
