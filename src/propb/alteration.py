@@ -5,6 +5,8 @@ uniform n-edges on n*n/2 vertices, enumerates the proper colourings that
 survive, and then adds one large monochromatic edge per survivor.  The
 result is non-2-colourable unconditionally: a colouring either hits a
 monochromatic sampled edge or is a survivor and hits its own blocking edge.
+The run checks exactly that against the materialized survivor list, so the
+only census is the one of the sampled edges.
 
 Exact arithmetic everywhere it matters: the monochromatic-edge
 probabilities are rationals, the weights dyadic; only the asymptotic
@@ -218,6 +220,22 @@ class AlterationReport:
     killing_edges: tuple[frozenset[int], ...]
 
 
+def _blocks_every_survivor(
+    h: Hypergraph, h1: Hypergraph, survivors: tuple[Colouring, ...], killing_masks: list[int]
+) -> bool:
+    """True when h contains h1 and each survivor's own carved edge, monochromatic.
+
+    `survivors` must be the exact census of h1.  A colouring that is not a
+    survivor makes some h1 edge monochromatic, so h is then uncolourable.
+    A False answer proves nothing.
+    """
+    edges = set(h.edge_masks)
+    return edges.issuperset(h1.edge_masks) and all(
+        kill in edges and kill & c.red_mask in (0, kill)
+        for c, kill in zip(survivors, killing_masks, strict=True)
+    )
+
+
 def run_alteration(
     n: int, seed: int, max_retries: int = 50, strict: bool = False
 ) -> tuple[Hypergraph, AlterationReport]:
@@ -227,6 +245,11 @@ def run_alteration(
     adds the lowest-indexed half of each survivor's majority colour class
     (red on ties) as a blocking edge.  In strict mode the sample is redrawn
     (derived seeds) until at most 2**(v/2) colourings survive.
+
+    `verified_uncolourable` is a proof from the exact census of the sampled
+    edges: the output contains them, and each survivor's own blocking edge is
+    in the output and monochromatic under that survivor.  The output is not
+    searched again.
     """
     params = AlterationParams.for_edge_size(n, seed, max_retries, strict)
     limit = enumeration_limit()
@@ -267,7 +290,7 @@ def run_alteration(
 
     h2 = Hypergraph(v, tuple(killing_masks))
     h = union(h1, h2)
-    verified = enumerate_proper(h).total_proper == 0
+    verified = _blocks_every_survivor(h, h1, survivors, killing_masks)
     report = AlterationReport(
         params=params,
         retries_used=retries_used,

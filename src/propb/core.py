@@ -101,8 +101,10 @@ class DyadicValue:
         return digits[: -self.exponent] + "." + digits[-self.exponent :]
 
 
-def _edge_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (mask.bit_count(), mask_members(mask))
+# _LEX[b] is 255 minus b bit-reversed.  Comparing masks of one size as
+# little-endian bytes translated through it is comparing their sorted member
+# lists: the mask holding the lowest vertex where they differ comes first.
+_LEX = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,16 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.v < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = sorted(set(self.edge_masks), key=_edge_sort_key)
-        for mask in canon:
+        for mask in self.edge_masks:
             if mask <= 0 or mask.bit_length() > self.v:
                 raise ValueError("edge mask out of range for vertex count")
             if mask.bit_count() < 2:
                 raise ValueError("every edge needs at least 2 vertices")
+        width = (max(self.edge_masks, default=0).bit_length() + 7) // 8
+        canon = sorted(
+            set(self.edge_masks),
+            key=lambda m: (m.bit_count(), m.to_bytes(width, "little").translate(_LEX)),
+        )
         object.__setattr__(self, "edge_masks", tuple(canon))
 
     @property

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from propb import (
     AlterationParams,
+    Hypergraph,
     RetriesExhaustedError,
     asymptotic_q,
     balanced_probability,
@@ -18,6 +19,7 @@ from propb import (
     erdos_edge_count,
     expected_proper_upper_bound,
     halved_edge_count,
+    is_proper,
     mono_probability,
     q_value,
     run_alteration,
@@ -25,6 +27,9 @@ from propb import (
     serialize,
     union,
 )
+from propb import alteration
+from propb._bits import mask_of
+from propb.alteration import _blocks_every_survivor
 
 
 def test_mono_probability_values():
@@ -184,12 +189,53 @@ def test_params_validation():
 
 
 def test_run_builds_uncolourable_hypergraphs():
-    for n in (2, 3, 4):
-        for seed in range(3):
-            h, report = run_alteration(n, seed)
-            assert report.verified_uncolourable
-            assert enumerate_proper(h).total_proper == 0
-            assert h == union(report.h1, report.h2)
+    # the full census of the output is the oracle for the survivor-list proof
+    for n, seed in [(n, s) for n in (2, 3, 4) for s in range(3)] + [(7, 5)]:
+        h, report = run_alteration(n, seed)
+        assert report.verified_uncolourable
+        assert enumerate_proper(h).total_proper == 0
+        assert h == union(report.h1, report.h2)
+
+
+def test_verification_rejects_broken_outputs():
+    h, report = run_alteration(5, 11)
+    h1, survivors = report.h1, report.survivors
+    kills = [mask_of(e) for e in report.killing_edges]
+    assert _blocks_every_survivor(h, h1, survivors, kills)
+
+    # drop the blocking edges of a survivor and its complement, when no other
+    # survivor carved them and nothing else in h is monochromatic under them
+    full = (1 << h.v) - 1
+    index = {c.red_mask: i for i, c in enumerate(survivors)}
+    for i, c in enumerate(survivors):
+        drop = {kills[i], kills[index[full ^ c.red_mask]]}
+        reduced = Hypergraph(h.v, tuple(m for m in h.edge_masks if m not in drop))
+        if sum(k in drop for k in kills) == 2 and is_proper(reduced, c):
+            break
+    else:
+        pytest.fail("no survivor pair can be freed")
+    assert not _blocks_every_survivor(reduced, h1, survivors, kills)
+    assert enumerate_proper(reduced).total_proper == 2
+
+    # a sampled edge missing, or a blocking edge that is not monochromatic
+    assert not _blocks_every_survivor(Hypergraph(h.v, h.edge_masks[1:]), h1, survivors, kills)
+    c, kill = survivors[-1], kills[-1]
+    other = c.blue_mask if kill & c.red_mask else c.red_mask
+    bichromatic = kills[:-1] + [kill | other & -other]
+    assert not _blocks_every_survivor(union(h, Hypergraph(h.v, bichromatic)), h1, survivors, bichromatic)
+
+
+def test_run_censuses_once_per_sampling_attempt(monkeypatch):
+    calls = []
+
+    def counting(h, *args, **kwargs):
+        calls.append(h)
+        return enumerate_proper(h, *args, **kwargs)
+
+    monkeypatch.setattr(alteration, "enumerate_proper", counting)
+    _, report = run_alteration(4, 13, strict=True)
+    assert report.retries_used == 2
+    assert len(calls) == 3
 
 
 def test_killing_edges_sit_inside_majority_classes():

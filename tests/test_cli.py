@@ -1,5 +1,7 @@
 """End-to-end command tests: stdout contracts, exit codes, file round trips."""
 
+import hashlib
+
 import pytest
 
 from propb import (
@@ -102,6 +104,30 @@ def test_alteration_report_and_file(tmp_path, capsys):
     assert out.rstrip().endswith("status: PASS")
     h, _ = run_alteration(4, 13, strict=True)
     assert parse(target.read_text(encoding="utf-8")) == h
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "stdout_sha", "doc_sha"),
+    [
+        (
+            5, 11,
+            "e8dad7bf5ea614b36e44a030fff4195e62000e2cfe6e27f3558f1a4854f3afb1",
+            "0bace0d9fcc28a9619223926f14616d7e0dfe88f86f27038ca25cb642411775f",
+        ),
+        (
+            6, 3,
+            "21878045e0565a57f1ff7f861a8c7750a3bcdff62936c96a1002e99d7ba81e40",
+            "7e8884533be39d6683e2c6a55e91f5fe759e7e95a0e429b4062038d9661fba39",
+        ),
+    ],
+)
+def test_alteration_output_is_pinned(tmp_path, capsys, n, seed, stdout_sha, doc_sha):
+    # any drift in edge order, weights or the verification verdict changes a digest
+    target = tmp_path / "alt.txt"
+    code, out, _ = run(["alteration", "--n", str(n), "--seed", str(seed), "-o", str(target)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == doc_sha
 
 
 def test_alteration_exhaustion_is_exit_1(capsys):

@@ -22,6 +22,7 @@ from propb import (
     triangle,
     union,
 )
+from propb._bits import mask_members, mask_of
 
 
 def pascal_rows(limit):
@@ -129,12 +130,34 @@ def test_masks_are_range_checked_without_allocating_2_to_the_v():
     with pytest.raises(ValueError):
         Hypergraph(3, (0b1001,))
     with pytest.raises(ValueError):
+        Hypergraph(3, (0b11, -3))
+    with pytest.raises(ValueError):
         Colouring(3, 0b1000)
 
 
 def test_canonical_edge_order_size_then_lex():
     h = make_hypergraph(6, [{0, 2, 3}, {0, 1, 5}, {4, 5}])
     assert h.edges == (frozenset({4, 5}), frozenset({0, 1, 5}), frozenset({0, 2, 3}))
+
+
+@st.composite
+def edge_masks(draw):
+    """Masks on up to 70 vertices, sizes 2..9; members drawn from a narrow
+    window as well as from all vertices give many equal-size edges that
+    share low members and differ in any byte."""
+    v = draw(st.integers(min_value=2, max_value=70))
+    lo = draw(st.integers(min_value=0, max_value=v - 2))
+    hi = draw(st.integers(min_value=lo + 1, max_value=v - 1))
+    members = st.integers(min_value=lo, max_value=hi) | st.integers(min_value=0, max_value=v - 1)
+    edges = draw(st.lists(st.frozensets(members, min_size=2, max_size=9), max_size=40))
+    return v, [mask_of(e) for e in edges]
+
+
+@given(edge_masks())
+def test_canonical_edge_order_matches_member_lists(case):
+    v, masks = case
+    expected = sorted(set(masks), key=lambda m: (m.bit_count(), mask_members(m)))
+    assert Hypergraph(v, tuple(masks)).edge_masks == tuple(expected)
 
 
 def test_q_values_of_named_hypergraphs():
