@@ -9,8 +9,6 @@ arithmetic, checked by exhaustive enumeration where feasible.
 
 from propb.alteration import (
     AlterationParams,
-    AlterationReport,
-    ExpectationBounds,
     RetriesExhaustedError,
     asymptotic_q,
     balanced_probability,
@@ -23,18 +21,12 @@ from propb.alteration import (
     sample_uniform_edges,
 )
 from propb.analysis import (
-    CheckEntry,
-    DesignCheckResult,
-    VerificationReport,
     design_check,
     is_edge_critical,
     verify_paper_example,
 )
 from propb.colouring import (
-    DEFAULT_ENUM_LIMIT,
-    ENUM_LIMIT_ENV,
     Colouring,
-    EnumerationReport,
     enumerate_proper,
     enumeration_limit,
     is_proper,
@@ -43,7 +35,6 @@ from propb.colouring import (
     pair_opposites,
 )
 from propb.constructions import (
-    FANO_LINES,
     affine_plane_gf4,
     derive_h8,
     fano,
@@ -68,20 +59,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlterationParams",
-    "AlterationReport",
-    "CheckEntry",
     "Colouring",
-    "DEFAULT_ENUM_LIMIT",
-    "DesignCheckResult",
     "DocumentError",
     "DyadicValue",
-    "ENUM_LIMIT_ENV",
-    "EnumerationReport",
-    "ExpectationBounds",
-    "FANO_LINES",
     "Hypergraph",
     "RetriesExhaustedError",
-    "VerificationReport",
     "affine_plane_gf4",
     "asymptotic_q",
     "balanced_probability",

@@ -59,11 +59,7 @@ def balanced_probability(v: int, n: int) -> Fraction:
     """mono_probability at the balanced split: 2*C(v/2, n) / C(v, n)."""
     if v % 2:
         raise ValueError("vertex count must be even")
-    if n < 1:
-        raise ValueError("edge size must be at least 1")
-    if v < n:
-        raise ValueError("fewer vertices than the edge size")
-    return Fraction(2 * binomial(v // 2, n), binomial(v, n))
+    return mono_probability(v // 2, v // 2, n)
 
 
 def asymptotic_q(n: int) -> float:
@@ -203,7 +199,7 @@ class AlterationParams:
 class AlterationReport:
     """Full trace of one pipeline run.
 
-    killing_edges[i] is the blocking edge carved for survivors[i]; the edges
+    killing_masks[i] is the blocking edge carved for survivors[i]; the edges
     collapse into h2, and the returned hypergraph is union(h1, h2).
     """
 
@@ -217,7 +213,12 @@ class AlterationReport:
     h1: Hypergraph
     h2: Hypergraph
     survivors: tuple[Colouring, ...]
-    killing_edges: tuple[frozenset[int], ...]
+    killing_masks: tuple[int, ...]
+
+    @property
+    def killing_edges(self) -> tuple[frozenset[int], ...]:
+        """The blocking edges as vertex sets, in survivor order."""
+        return tuple(frozenset(mask_members(m)) for m in self.killing_masks)
 
 
 def _blocks_every_survivor(
@@ -302,6 +303,6 @@ def run_alteration(
         h1=h1,
         h2=h2,
         survivors=survivors,
-        killing_edges=tuple(frozenset(mask_members(m)) for m in killing_masks),
+        killing_masks=tuple(killing_masks),
     )
     return h, report

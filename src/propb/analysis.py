@@ -58,27 +58,22 @@ def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> D
 
     masks = [mask_of(b) for b in families]
     lam: int | None = None
+    counterexample: frozenset[int] | None = None
     for subset in combinations(range(point_count), t):
         smask = mask_of(subset)
         count = sum(1 for bm in masks if bm & smask == smask)
         if lam is None:
             lam = count
         elif count != lam:
-            return DesignCheckResult(
-                t=t,
-                point_count=point_count,
-                block_count=len(families),
-                block_size=block_size,
-                lam=None,
-                counterexample=frozenset(subset),
-            )
+            lam, counterexample = None, frozenset(subset)
+            break
     return DesignCheckResult(
         t=t,
         point_count=point_count,
         block_count=len(families),
         block_size=block_size,
         lam=lam,
-        counterexample=None,
+        counterexample=counterexample,
     )
 
 
@@ -131,130 +126,74 @@ def verify_paper_example(
     8-8 balance of each, the 60 opposite pairs, the 60 blocking 8-edges, the
     80-edge union, its non-2-colourability, the exact weight 95/64, the
     bracketing 23/16 < q < 24/16, and that the blue sets form a 3-(16,8,12)
-    design.  Either part can be substituted to probe how the checks fail.
+    design.  Either part can be substituted to probe how the checks fail; a
+    check whose computation raises ValueError fails with the message as its
+    actual value.
     """
     if h4 is None:
         h4 = affine_plane_gf4()
     if h8 is None:
         h8 = derive_h8(h4)
-    checks: list[CheckEntry] = []
-
-    sizes = sorted({m.bit_count() for m in h4.edge_masks})
-    shape_ok = h4.v == 16 and h4.edge_count == 20 and sizes == [4]
-    checks.append(
-        CheckEntry(
-            name="plane-shape",
-            expected="16 vertices, 20 edges of size 4",
-            actual=f"{h4.v} vertices, {h4.edge_count} edges of size {sizes}",
-            passed=shape_ok,
-        )
-    )
-
     census = enumerate_proper(h4, materialize=True)
-    assert census.colourings is not None
-    checks.append(
-        CheckEntry(
-            name="proper-count",
-            expected="120",
-            actual=str(census.total_proper),
-            passed=census.total_proper == 120,
-        )
-    )
-
-    unbalanced = [c for c in census.colourings if 2 * c.red_count != h4.v]
-    checks.append(
-        CheckEntry(
-            name="balance",
-            expected="every proper colouring 8 red / 8 blue",
-            actual="all balanced" if not unbalanced else f"{len(unbalanced)} unbalanced",
-            passed=not unbalanced and census.balanced_count == census.total_proper,
-        )
-    )
-
-    try:
-        pairs = pair_opposites(list(census.colourings))
-        pairs_actual = str(len(pairs))
-        pairs_ok = len(pairs) == 60
-    except ValueError as exc:
-        pairs_actual = f"error: {exc}"
-        pairs_ok = False
-    checks.append(
-        CheckEntry(name="opposite-pairs", expected="60", actual=pairs_actual, passed=pairs_ok)
-    )
-
-    h8_sizes = sorted({m.bit_count() for m in h8.edge_masks})
-    checks.append(
-        CheckEntry(
-            name="blocking-shape",
-            expected="60 edges of size 8",
-            actual=f"{h8.edge_count} edges of size {h8_sizes}",
-            passed=h8.edge_count == 60 and h8_sizes == [8],
-        )
-    )
-
+    colourings = census.colourings
+    assert colourings is not None
     h = union(h4, h8)
-    checks.append(
-        CheckEntry(
-            name="union-edges",
-            expected="80",
-            actual=str(h.edge_count),
-            passed=h.edge_count == 80,
-        )
-    )
-
-    proper_total = enumerate_proper(h).total_proper
-    if proper_total == 0:
-        uncol_actual = "not 2-colourable"
-    else:
-        _, witness = is_two_colourable(h)
-        reds = " ".join(str(u) for u in sorted(witness.red)) if witness else ""
-        uncol_actual = f"2-colourable ({proper_total} proper, witness red: {reds})"
-    checks.append(
-        CheckEntry(
-            name="uncolourable",
-            expected="not 2-colourable",
-            actual=uncol_actual,
-            passed=proper_total == 0,
-        )
-    )
-
     q = q_value(h)
-    checks.append(
-        CheckEntry(
-            name="weight",
-            expected="95/2^6",
-            actual=str(q),
-            passed=q == DyadicValue(95, 6),
-        )
-    )
 
-    lower, upper = DyadicValue(23, 4), DyadicValue(24, 4)
-    checks.append(
-        CheckEntry(
-            name="weight-bracket",
-            expected="23/2^4 < q < 24/2^4",
-            actual=f"q = {q}",
-            passed=lower < q < upper,
-        )
-    )
+    def plane_shape() -> tuple[str, bool]:
+        sizes = sorted({m.bit_count() for m in h4.edge_masks})
+        actual = f"{h4.v} vertices, {h4.edge_count} edges of size {sizes}"
+        return actual, h4.v == 16 and h4.edge_count == 20 and sizes == [4]
 
-    try:
-        design = design_check([c.blue for c in census.colourings], h4.v, 3)
-        if design.lam is not None:
-            design_actual = f"lambda = {design.lam}"
-        else:
-            design_actual = f"not a design (counterexample {sorted(design.counterexample)})"
-        design_ok = design.lam == 12 and design.block_size == 8 and design.point_count == 16
-    except ValueError as exc:
-        design_actual = f"error: {exc}"
-        design_ok = False
-    checks.append(
-        CheckEntry(
-            name="blue-design",
-            expected="3-(16,8,12) design",
-            actual=design_actual,
-            passed=design_ok,
-        )
-    )
+    def balance() -> tuple[str, bool]:
+        unbalanced = sum(1 for c in colourings if 2 * c.red_count != h4.v)
+        actual = f"{unbalanced} unbalanced" if unbalanced else "all balanced"
+        return actual, not unbalanced and census.balanced_count == census.total_proper
 
+    def opposite_pairs() -> tuple[str, bool]:
+        pairs = len(pair_opposites(colourings))
+        return str(pairs), pairs == 60
+
+    def blocking_shape() -> tuple[str, bool]:
+        sizes = sorted({m.bit_count() for m in h8.edge_masks})
+        return f"{h8.edge_count} edges of size {sizes}", h8.edge_count == 60 and sizes == [8]
+
+    def uncolourable() -> tuple[str, bool]:
+        proper_total = enumerate_proper(h).total_proper
+        if proper_total == 0:
+            return "not 2-colourable", True
+        _, witness = is_two_colourable(h)
+        reds = " ".join(str(u) for u in sorted(witness.red))
+        return f"2-colourable ({proper_total} proper, witness red: {reds})", False
+
+    def blue_design() -> tuple[str, bool]:
+        design = design_check([c.blue for c in colourings], h4.v, 3)
+        if design.lam is None:
+            return f"not a design (counterexample {sorted(design.counterexample)})", False
+        shape = (design.lam, design.block_size, design.point_count)
+        return f"lambda = {design.lam}", shape == (12, 8, 16)
+
+    table = (
+        ("plane-shape", "16 vertices, 20 edges of size 4", plane_shape),
+        ("proper-count", "120", lambda: (str(census.total_proper), census.total_proper == 120)),
+        ("balance", "every proper colouring 8 red / 8 blue", balance),
+        ("opposite-pairs", "60", opposite_pairs),
+        ("blocking-shape", "60 edges of size 8", blocking_shape),
+        ("union-edges", "80", lambda: (str(h.edge_count), h.edge_count == 80)),
+        ("uncolourable", "not 2-colourable", uncolourable),
+        ("weight", "95/2^6", lambda: (str(q), q == DyadicValue(95, 6))),
+        (
+            "weight-bracket",
+            "23/2^4 < q < 24/2^4",
+            lambda: (f"q = {q}", DyadicValue(23, 4) < q < DyadicValue(24, 4)),
+        ),
+        ("blue-design", "3-(16,8,12) design", blue_design),
+    )
+    checks: list[CheckEntry] = []
+    for name, expected, thunk in table:
+        try:
+            actual, passed = thunk()
+        except ValueError as exc:
+            actual, passed = f"error: {exc}", False
+        checks.append(CheckEntry(name, expected, actual, passed))
     return VerificationReport(checks=tuple(checks), q_total=q)

@@ -146,18 +146,13 @@ def monochromatic_edges(h: Hypergraph, c: Colouring) -> list[frozenset[int]]:
     return out
 
 
-def enumerate_proper(
-    h: Hypergraph,
-    materialize: bool = False,
-    limit: int | None = None,
-) -> EnumerationReport:
+def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationReport:
     """Exact count (and optionally the list) of proper colourings of h.
 
     Counts cover all 2**v colourings.  Refuses hypergraphs above the
     enumeration limit; use is_two_colourable for a yes/no answer there.
     """
-    if limit is None:
-        limit = enumeration_limit()
+    limit = enumeration_limit()
     if h.v > limit:
         raise ValueError(
             f"{h.v} vertices exceeds the exhaustive enumeration limit ({limit}); "

@@ -243,10 +243,12 @@ def test_killing_edges_sit_inside_majority_classes():
     assert report.survivor_count == 20
     assert report.retries_used == 0
     big = report.params.big_edge_size
-    for colouring, kill in zip(report.survivors, report.killing_edges):
+    assert len(report.killing_masks) == len(report.killing_edges) == report.survivor_count
+    for colouring, kill, mask in zip(report.survivors, report.killing_edges, report.killing_masks):
         majority = colouring.red if 2 * colouring.red_count >= report.params.v else colouring.blue
         assert len(kill) == big
         assert kill == frozenset(sorted(majority)[:big])
+        assert mask == mask_of(kill)
 
 
 def test_weight_accounting():

@@ -125,3 +125,104 @@ def test_verification_catches_missing_line():
     assert not by_name["plane-shape"].passed
     assert not by_name["proper-count"].passed
     assert by_name["proper-count"].actual == "768"
+
+
+PLANE_SHAPE = ("plane-shape", "16 vertices, 20 edges of size 4")
+PROPER_COUNT = ("proper-count", "120")
+BALANCE = ("balance", "every proper colouring 8 red / 8 blue")
+OPPOSITE_PAIRS = ("opposite-pairs", "60")
+BLOCKING_SHAPE = ("blocking-shape", "60 edges of size 8")
+UNION_EDGES = ("union-edges", "80")
+UNCOLOURABLE = ("uncolourable", "not 2-colourable")
+WEIGHT = ("weight", "95/2^6")
+WEIGHT_BRACKET = ("weight-bracket", "23/2^4 < q < 24/2^4")
+BLUE_DESIGN = ("blue-design", "3-(16,8,12) design")
+
+
+def paper_inputs(case):
+    plane = affine_plane_gf4()
+    h8 = derive_h8(plane)
+    if case == "default":
+        return {}
+    if case == "h8-minus-last":
+        return {"h8": Hypergraph(16, h8.edge_masks[:-1])}
+    if case == "h4-minus-last":
+        return {"h4": Hypergraph(16, plane.edge_masks[:-1]), "h8": h8}
+    assert case == "empty"
+    return {"h4": Hypergraph(0, ()), "h8": Hypergraph(0, ())}
+
+
+# (name, expected, actual, passed) of every check and q_total, recorded from
+# the hand-written check sequence that the table replaced.
+PINNED_CHECKS = {
+    "default": (
+        "95/2^6",
+        [
+            (*PLANE_SHAPE, "16 vertices, 20 edges of size [4]", True),
+            (*PROPER_COUNT, "120", True),
+            (*BALANCE, "all balanced", True),
+            (*OPPOSITE_PAIRS, "60", True),
+            (*BLOCKING_SHAPE, "60 edges of size [8]", True),
+            (*UNION_EDGES, "80", True),
+            (*UNCOLOURABLE, "not 2-colourable", True),
+            (*WEIGHT, "95/2^6", True),
+            (*WEIGHT_BRACKET, "q = 95/2^6", True),
+            (*BLUE_DESIGN, "lambda = 12", True),
+        ],
+    ),
+    "h8-minus-last": (
+        "379/2^8",
+        [
+            (*PLANE_SHAPE, "16 vertices, 20 edges of size [4]", True),
+            (*PROPER_COUNT, "120", True),
+            (*BALANCE, "all balanced", True),
+            (*OPPOSITE_PAIRS, "60", True),
+            (*BLOCKING_SHAPE, "59 edges of size [8]", False),
+            (*UNION_EDGES, "79", False),
+            (*UNCOLOURABLE, "2-colourable (2 proper, witness red: 1 2 3 4 5 6 9 14)", False),
+            (*WEIGHT, "379/2^8", False),
+            (*WEIGHT_BRACKET, "q = 379/2^8", True),
+            (*BLUE_DESIGN, "lambda = 12", True),
+        ],
+    ),
+    "h4-minus-last": (
+        "91/2^6",
+        [
+            (*PLANE_SHAPE, "16 vertices, 19 edges of size [4]", False),
+            (*PROPER_COUNT, "768", False),
+            (*BALANCE, "360 unbalanced", False),
+            (*OPPOSITE_PAIRS, "384", False),
+            (*BLOCKING_SHAPE, "60 edges of size [8]", True),
+            (*UNION_EDGES, "79", False),
+            (*UNCOLOURABLE, "2-colourable (608 proper, witness red: 3 7 10 12 13 14 15)", False),
+            (*WEIGHT, "91/2^6", False),
+            (*WEIGHT_BRACKET, "q = 91/2^6", False),
+            (*BLUE_DESIGN, "error: mixed block sizes [6, 7, 8, 9, 10]", False),
+        ],
+    ),
+    "empty": (
+        "0/2^0",
+        [
+            (*PLANE_SHAPE, "0 vertices, 0 edges of size []", False),
+            (*PROPER_COUNT, "1", False),
+            (*BALANCE, "all balanced", True),
+            (*OPPOSITE_PAIRS, "error: self-complementary colouring in input", False),
+            (*BLOCKING_SHAPE, "0 edges of size []", False),
+            (*UNION_EDGES, "0", False),
+            (*UNCOLOURABLE, "2-colourable (1 proper, witness red: )", False),
+            (*WEIGHT, "0/2^0", False),
+            (*WEIGHT_BRACKET, "q = 0/2^0", False),
+            (*BLUE_DESIGN, "error: t exceeds the block size", False),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHECKS))
+def test_verification_checks_are_pinned(case):
+    # the "error:" entries come from a check whose computation raised ValueError
+    q_total, checks = PINNED_CHECKS[case]
+    report = verify_paper_example(**paper_inputs(case))
+    assert str(report.q_total) == q_total
+    actual = [(e.name, e.expected, e.actual, e.passed) for e in report.checks]
+    assert actual == checks

@@ -130,6 +130,13 @@ def test_alteration_output_is_pinned(tmp_path, capsys, n, seed, stdout_sha, doc_
     assert hashlib.sha256(target.read_bytes()).hexdigest() == doc_sha
 
 
+def test_verify_paper_output_is_pinned(capsys):
+    code, out, _ = run(["verify-paper"], capsys)
+    assert code == 0
+    digest = "90bbf486b80b5bcac1c59c360745e6fcf74bc816ee9fbf7a0e4eb951598acc66"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_alteration_exhaustion_is_exit_1(capsys):
     code, _, err = run(
         ["alteration", "--n", "4", "--seed", "13", "--strict", "--max-retries", "0"], capsys
