@@ -24,10 +24,10 @@ def main():
     print(f"plane: {h4.v} points, {h4.edge_count} lines, q = {q_value(h4)}")
     print(f"proper colourings: {census.total_proper}, balanced: {census.balanced_count}")
 
-    pairs = pair_opposites(list(census.colourings))
+    pairs = pair_opposites(census.red_masks, h4.v)
     print(f"opposite pairs: {len(pairs)}")
-    first, second = pairs[0]
-    print(f"first pair, red sets: {sorted(first.red)} / {sorted(second.red)}")
+    first, second = ([u for u in range(h4.v) if red >> u & 1] for red in pairs[0])
+    print(f"first pair, red sets: {first} / {second}")
 
     h8 = derive_h8(h4)
     sizes = {len(e) for e in h8.edges}

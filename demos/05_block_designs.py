@@ -12,7 +12,8 @@ from propb import affine_plane_gf4, derive_h8, design_check, enumerate_proper, f
 
 def main():
     census = enumerate_proper(affine_plane_gf4(), materialize=True)
-    blues = [c.blue for c in census.colourings]
+    # a census lists red masks; the blue set is every point outside one
+    blues = [{u for u in range(16) if not red >> u & 1} for red in census.red_masks]
     print("blue sets of the plane's 120 proper colourings:")
     for t in range(4):
         result = design_check(blues, 16, t)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from propb._bits import mask_members
 from propb.colouring import Colouring, enumerate_proper, enumeration_limit
 from propb.core import DyadicValue, Hypergraph, binomial, make_hypergraph, q_value, union
+from propb.formats import MAX_VERTICES
 
 # Retry r of a run reseeds with seed ^ (r * _RESEED_STEP) mod 2**64, so one
 # integer seed determines the whole retry sequence.
@@ -175,6 +176,8 @@ class AlterationParams:
         v is twice that, so half the vertices always carry one colour and a
         blocking edge can be carved from the majority class.  Negative seeds
         are rejected: random.Random seeds on abs(seed), so -s would repeat s.
+        So is an n whose v exceeds the document cap `MAX_VERTICES`, before
+        any float is computed.
         """
         if n < 2:
             raise ValueError("edge size must be at least 2")
@@ -183,6 +186,10 @@ class AlterationParams:
         if max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
         big = max(2, (n * n + 3) // 4)
+        if 2 * big > MAX_VERTICES:
+            raise ValueError(
+                f"edge size {n} needs {2 * big} vertices, above the vertex cap ({MAX_VERTICES})"
+            )
         return cls(
             n=n,
             v=2 * big,
@@ -199,8 +206,10 @@ class AlterationParams:
 class AlterationReport:
     """Full trace of one pipeline run.
 
-    killing_masks[i] is the blocking edge carved for survivors[i]; the edges
-    collapse into h2, and the returned hypergraph is union(h1, h2).
+    survivor_masks lists the red masks of h1's proper colourings (the census
+    order), and killing_masks[i] is the blocking edge carved for
+    survivor_masks[i]; the edges collapse into h2, and the returned
+    hypergraph is union(h1, h2).
     """
 
     params: AlterationParams
@@ -212,8 +221,13 @@ class AlterationReport:
     verified_uncolourable: bool
     h1: Hypergraph
     h2: Hypergraph
-    survivors: tuple[Colouring, ...]
+    survivor_masks: tuple[int, ...]
     killing_masks: tuple[int, ...]
+
+    @property
+    def survivors(self) -> tuple[Colouring, ...]:
+        """The survivors as `Colouring`s, in census order."""
+        return tuple(Colouring(self.params.v, m) for m in self.survivor_masks)
 
     @property
     def killing_edges(self) -> tuple[frozenset[int], ...]:
@@ -222,18 +236,18 @@ class AlterationReport:
 
 
 def _blocks_every_survivor(
-    h: Hypergraph, h1: Hypergraph, survivors: tuple[Colouring, ...], killing_masks: list[int]
+    h: Hypergraph, h1: Hypergraph, survivor_masks: tuple[int, ...], killing_masks: list[int]
 ) -> bool:
     """True when h contains h1 and each survivor's own carved edge, monochromatic.
 
-    `survivors` must be the exact census of h1.  A colouring that is not a
-    survivor makes some h1 edge monochromatic, so h is then uncolourable.
-    A False answer proves nothing.
+    `survivor_masks` must be the exact census of h1, as red masks.  A
+    colouring that is not a survivor makes some h1 edge monochromatic, so h
+    is then uncolourable.  A False answer proves nothing.
     """
     edges = set(h.edge_masks)
     return edges.issuperset(h1.edge_masks) and all(
-        kill in edges and kill & c.red_mask in (0, kill)
-        for c, kill in zip(survivors, killing_masks, strict=True)
+        kill in edges and kill & red in (0, kill)
+        for red, kill in zip(survivor_masks, killing_masks, strict=True)
     )
 
 
@@ -261,15 +275,15 @@ def run_alteration(
 
     retries_used = 0
     h1 = None
-    survivors: tuple[Colouring, ...] = ()
+    survivors: tuple[int, ...] = ()
     for attempt in range(params.max_retries + 1):
         candidate = sample_uniform_edges(params.v, n, params.m_prime, derive_seed(seed, attempt))
         report = enumerate_proper(candidate, materialize=True)
-        assert report.colourings is not None
+        assert report.red_masks is not None
         if not strict or report.total_proper <= params.survivor_threshold:
             retries_used = attempt
             h1 = candidate
-            survivors = report.colourings
+            survivors = report.red_masks
             break
     if h1 is None:
         raise RetriesExhaustedError(
@@ -280,8 +294,8 @@ def run_alteration(
     v = params.v
     full = (1 << v) - 1
     killing_masks = []
-    for c in survivors:
-        majority = c.red_mask if 2 * c.red_count >= v else full ^ c.red_mask
+    for red in survivors:
+        majority = red if 2 * red.bit_count() >= v else full ^ red
         mask = 0
         for _ in range(params.big_edge_size):
             low = majority & -majority
@@ -302,7 +316,7 @@ def run_alteration(
         verified_uncolourable=verified,
         h1=h1,
         h2=h2,
-        survivors=survivors,
+        survivor_masks=survivors,
         killing_masks=tuple(killing_masks),
     )
     return h, report

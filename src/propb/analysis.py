@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from propb._bits import mask_of
+from propb._bits import mask_members, mask_of
 from propb.colouring import enumerate_proper, is_two_colourable, pair_opposites
 from propb.constructions import affine_plane_gf4, derive_h8
 from propb.core import DyadicValue, Hypergraph, q_value, union
@@ -135,8 +135,8 @@ def verify_paper_example(
     if h8 is None:
         h8 = derive_h8(h4)
     census = enumerate_proper(h4, materialize=True)
-    colourings = census.colourings
-    assert colourings is not None
+    red_masks = census.red_masks
+    assert red_masks is not None
     h = union(h4, h8)
     q = q_value(h)
 
@@ -146,12 +146,12 @@ def verify_paper_example(
         return actual, h4.v == 16 and h4.edge_count == 20 and sizes == [4]
 
     def balance() -> tuple[str, bool]:
-        unbalanced = sum(1 for c in colourings if 2 * c.red_count != h4.v)
+        unbalanced = sum(1 for m in red_masks if 2 * m.bit_count() != h4.v)
         actual = f"{unbalanced} unbalanced" if unbalanced else "all balanced"
         return actual, not unbalanced and census.balanced_count == census.total_proper
 
     def opposite_pairs() -> tuple[str, bool]:
-        pairs = len(pair_opposites(colourings))
+        pairs = len(pair_opposites(red_masks, h4.v))
         return str(pairs), pairs == 60
 
     def blocking_shape() -> tuple[str, bool]:
@@ -167,7 +167,8 @@ def verify_paper_example(
         return f"2-colourable ({proper_total} proper, witness red: {reds})", False
 
     def blue_design() -> tuple[str, bool]:
-        design = design_check([c.blue for c in colourings], h4.v, 3)
+        full = (1 << h4.v) - 1
+        design = design_check([mask_members(full ^ m) for m in red_masks], h4.v, 3)
         if design.lam is None:
             return f"not a design (counterexample {sorted(design.counterexample)})", False
         shape = (design.lam, design.block_size, design.point_count)

@@ -22,7 +22,8 @@ vertex that propagation forced are skipped, and block colourings that do so
 start out monochromatic.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
-red).  `enumerate_proper` sums and lists every proper block, while
+red).  `enumerate_proper` sums every proper block and can list its
+colourings as red masks (ints, like edges), while
 `is_two_colourable` stops at the first one and narrows it to its lex-first
 colouring.  With 18 vertices the search is one leaf of 2 keys; with 26 it is
 at most 8 leaves of 64 keys.
@@ -76,46 +77,31 @@ class Colouring:
         if self.red_mask < 0 or self.red_mask.bit_length() > self.v:
             raise ValueError("red set out of range for vertex count")
 
-    @classmethod
-    def from_red(cls, v: int, red: Sequence[int] | frozenset[int] | set[int]) -> "Colouring":
-        mask = 0
-        for u in red:
-            if not 0 <= u < v:
-                raise ValueError(f"vertex {u} out of range for v={v}")
-            mask |= 1 << u
-        return cls(v, mask)
-
     @property
     def red(self) -> frozenset[int]:
         return frozenset(bit_indices(self.red_mask))
-
-    @property
-    def blue_mask(self) -> int:
-        return ((1 << self.v) - 1) ^ self.red_mask
-
-    @property
-    def blue(self) -> frozenset[int]:
-        return frozenset(bit_indices(self.blue_mask))
-
-    @property
-    def red_count(self) -> int:
-        return self.red_mask.bit_count()
-
-    def complement(self) -> "Colouring":
-        return Colouring(self.v, self.blue_mask)
 
 
 @dataclass(frozen=True)
 class EnumerationReport:
     """Exact census of proper colourings.
 
-    `colourings` is populated only when materialization was requested; it is
-    sorted by red bitmask and closed under complement.
+    `red_masks` lists every proper colouring as its red bitmask, sorted and
+    closed under complement; it is None unless materialization was requested.
     """
 
     total_proper: int
     balanced_count: int
-    colourings: tuple[Colouring, ...] | None = None
+    red_masks: tuple[int, ...] | None = None
+
+    @property
+    def colourings(self) -> tuple[Colouring, ...] | None:
+        """The red masks as `Colouring`s, built on read."""
+        if self.red_masks is None:
+            return None
+        # Closed under complement, so the largest mask has the top vertex red.
+        v = self.red_masks[-1].bit_length() if self.red_masks else 0
+        return tuple(Colouring(v, m) for m in self.red_masks)
 
 
 def _check_same_vertices(h: Hypergraph, c: Colouring) -> None:
@@ -147,7 +133,7 @@ def monochromatic_edges(h: Hypergraph, c: Colouring) -> list[frozenset[int]]:
 
 
 def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationReport:
-    """Exact count (and optionally the list) of proper colourings of h.
+    """Exact count (and optionally the red masks) of the proper colourings of h.
 
     Counts cover all 2**v colourings.  Refuses hypergraphs above the
     enumeration limit; use is_two_colourable for a yes/no answer there.
@@ -160,8 +146,7 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
         )
     v = h.v
     if v == 0:
-        cols = (Colouring(0, 0),) if materialize else None
-        return EnumerationReport(total_proper=1, balanced_count=1, colourings=cols)
+        return EnumerationReport(1, 1, (0,) if materialize else None)
 
     t = _block_bits(v)
     total = 0
@@ -175,13 +160,12 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
         if materialize:
             red_masks.extend([base | j << v - t for j in bit_indices(proper)])
 
-    colourings = None
-    if materialize:
-        full_mask = (1 << v) - 1
-        both = red_masks + [full_mask ^ r for r in red_masks]
-        both.sort()
-        colourings = tuple(Colouring(v, r) for r in both)
-    return EnumerationReport(2 * total, 2 * balanced, colourings)
+    if not materialize:
+        return EnumerationReport(2 * total, 2 * balanced)
+    full = (1 << v) - 1
+    red_masks += [full ^ r for r in red_masks]
+    red_masks.sort()
+    return EnumerationReport(2 * total, 2 * balanced, tuple(red_masks))
 
 
 def _block_bits(v: int) -> int:
@@ -356,22 +340,18 @@ def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
     return False, None
 
 
-def pair_opposites(colourings: Sequence[Colouring]) -> list[tuple[Colouring, Colouring]]:
-    """Group a complement-closed list of colourings into opposite pairs.
+def pair_opposites(red_masks: Sequence[int], v: int) -> list[tuple[int, int]]:
+    """Group a complement-closed list of red masks on v vertices into opposite pairs.
 
-    Within a pair the member whose red set contains vertex 0 comes first;
-    pairs are sorted by that member's red bitmask.  Rejects duplicates,
-    lists not closed under complement, and mixed vertex counts.
+    Within a pair the mask that contains vertex 0 comes first; pairs are
+    sorted by that mask.  Rejects duplicates, masks out of range for v, and
+    lists that are not closed under complement.
     """
-    if not colourings:
-        return []
-    v = colourings[0].v
-    if any(c.v != v for c in colourings):
-        raise ValueError("colourings live on different vertex counts")
-    masks = [c.red_mask for c in colourings]
-    seen = set(masks)
-    if len(seen) != len(masks):
+    seen = set(red_masks)
+    if len(seen) != len(red_masks):
         raise ValueError("duplicate colourings in input")
+    if any(m >> v for m in seen):  # nonzero for a negative mask too
+        raise ValueError("red set out of range for vertex count")
     full = (1 << v) - 1
     for m in seen:
         partner = full ^ m
@@ -379,5 +359,4 @@ def pair_opposites(colourings: Sequence[Colouring]) -> list[tuple[Colouring, Col
             raise ValueError("self-complementary colouring in input")
         if partner not in seen:
             raise ValueError("input list is not closed under complement")
-    firsts = sorted(m for m in seen if m & 1)
-    return [(Colouring(v, m), Colouring(v, full ^ m)) for m in firsts]
+    return [(m, full ^ m) for m in sorted(m for m in seen if m & 1)]

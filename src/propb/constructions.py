@@ -103,15 +103,14 @@ def derive_h8(h: Hypergraph) -> Hypergraph:
     becomes an edge.  Each such edge is monochromatic under both members of
     its pair, so the union of h with the result has no proper colouring.
     """
-    report = enumerate_proper(h, materialize=True)
-    assert report.colourings is not None
-    for c in report.colourings:
-        if 2 * c.red_count != h.v:
+    red_masks = enumerate_proper(h, materialize=True).red_masks
+    assert red_masks is not None
+    for m in red_masks:
+        if 2 * m.bit_count() != h.v:
             raise ValueError(
-                f"proper colouring with {c.red_count} red of {h.v} vertices is not balanced"
+                f"proper colouring with {m.bit_count()} red of {h.v} vertices is not balanced"
             )
-    pairs = pair_opposites(list(report.colourings))
-    return make_hypergraph(h.v, [first.red for first, _ in pairs])
+    return Hypergraph(h.v, tuple(first for first, _ in pair_opposites(red_masks, h.v)))
 
 
 def paper_example() -> Hypergraph:

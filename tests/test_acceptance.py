@@ -139,8 +139,8 @@ def test_criterion_5_alteration_correctness():
             facts.append(enumerate_proper(h).total_proper == 0)
             facts.append(not is_two_colourable(h)[0])
             v = report.params.v
-            for colouring, kill in zip(report.survivors, report.killing_edges):
-                facts.append(kill <= colouring.red or kill <= colouring.blue)
+            for red, kill in zip(report.survivor_masks, report.killing_masks):
+                facts.append(kill & red in (0, kill))
             facts.append(report.q_h1 == q_value(report.h1))
             facts.append(report.q_h2 == q_value(report.h2))
             facts.append(report.q_total == q_value(h))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from propb import (
     AlterationParams,
+    Colouring,
     Hypergraph,
     RetriesExhaustedError,
     asymptotic_q,
@@ -28,7 +29,7 @@ from propb import (
     union,
 )
 from propb import alteration
-from propb._bits import mask_of
+from propb._bits import mask_members, mask_of
 from propb.alteration import _blocks_every_survivor
 
 
@@ -181,6 +182,10 @@ def test_params_validation():
         AlterationParams.for_edge_size(3, seed=-5)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         run_alteration(3, -5)
+    # 2 * ceil(2000**2 / 4) vertices; rejected before 2.0 ** n overflows
+    with pytest.raises(ValueError, match="above the vertex cap"):
+        AlterationParams.for_edge_size(2000, seed=0)
+    assert AlterationParams.for_edge_size(90, seed=0).v == 4050
     with pytest.raises(ValueError):
         AlterationParams(
             n=4, v=9, m_prime=61, big_edge_size=4, survivor_threshold=16,
@@ -199,18 +204,18 @@ def test_run_builds_uncolourable_hypergraphs():
 
 def test_verification_rejects_broken_outputs():
     h, report = run_alteration(5, 11)
-    h1, survivors = report.h1, report.survivors
-    kills = [mask_of(e) for e in report.killing_edges]
+    h1, survivors = report.h1, report.survivor_masks
+    kills = list(report.killing_masks)
     assert _blocks_every_survivor(h, h1, survivors, kills)
 
     # drop the blocking edges of a survivor and its complement, when no other
     # survivor carved them and nothing else in h is monochromatic under them
     full = (1 << h.v) - 1
-    index = {c.red_mask: i for i, c in enumerate(survivors)}
-    for i, c in enumerate(survivors):
-        drop = {kills[i], kills[index[full ^ c.red_mask]]}
+    index = {red: i for i, red in enumerate(survivors)}
+    for i, red in enumerate(survivors):
+        drop = {kills[i], kills[index[full ^ red]]}
         reduced = Hypergraph(h.v, tuple(m for m in h.edge_masks if m not in drop))
-        if sum(k in drop for k in kills) == 2 and is_proper(reduced, c):
+        if sum(k in drop for k in kills) == 2 and is_proper(reduced, Colouring(h.v, red)):
             break
     else:
         pytest.fail("no survivor pair can be freed")
@@ -219,8 +224,8 @@ def test_verification_rejects_broken_outputs():
 
     # a sampled edge missing, or a blocking edge that is not monochromatic
     assert not _blocks_every_survivor(Hypergraph(h.v, h.edge_masks[1:]), h1, survivors, kills)
-    c, kill = survivors[-1], kills[-1]
-    other = c.blue_mask if kill & c.red_mask else c.red_mask
+    red, kill = survivors[-1], kills[-1]
+    other = full ^ red if kill & red else red
     bichromatic = kills[:-1] + [kill | other & -other]
     assert not _blocks_every_survivor(union(h, Hypergraph(h.v, bichromatic)), h1, survivors, bichromatic)
 
@@ -243,11 +248,13 @@ def test_killing_edges_sit_inside_majority_classes():
     assert report.survivor_count == 20
     assert report.retries_used == 0
     big = report.params.big_edge_size
+    v = report.params.v
     assert len(report.killing_masks) == len(report.killing_edges) == report.survivor_count
-    for colouring, kill, mask in zip(report.survivors, report.killing_edges, report.killing_masks):
-        majority = colouring.red if 2 * colouring.red_count >= report.params.v else colouring.blue
+    assert report.survivors == tuple(Colouring(v, red) for red in report.survivor_masks)
+    for red, kill, mask in zip(report.survivor_masks, report.killing_edges, report.killing_masks):
+        majority = red if 2 * red.bit_count() >= v else red ^ ((1 << v) - 1)
         assert len(kill) == big
-        assert kill == frozenset(sorted(majority)[:big])
+        assert kill == frozenset(mask_members(majority)[:big])
         assert mask == mask_of(kill)
 
 

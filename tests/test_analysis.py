@@ -22,7 +22,7 @@ from propb import (
 
 def blue_blocks():
     census = enumerate_proper(affine_plane_gf4(), materialize=True)
-    return [c.blue for c in census.colourings]
+    return [{u for u in range(16) if not red >> u & 1} for red in census.red_masks]
 
 
 def test_design_lambdas_of_the_blue_sets():

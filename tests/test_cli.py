@@ -1,6 +1,9 @@
 """End-to-end command tests: stdout contracts, exit codes, file round trips."""
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +263,28 @@ def test_negative_seed_is_one_error_line(capsys):
     code, out, err = run(["alteration", "--n", "3", "--seed", "-5"], capsys)
     assert (code, out) == (2, "")
     assert one_error_line(err) == "error: seed must be nonnegative"
+
+
+def test_hostile_edge_size_is_one_error_line(capsys):
+    code, out, err = run(["alteration", "--n", "2000", "--seed", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert one_error_line(err) == "error: edge size 2000 needs 2000000 vertices, above the vertex cap (4096)"
+
+
+STDLIB_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import propb, propb.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before} - {"propb"}
+print(" ".join(sorted(loaded - sys.stdlib_module_names)))
+"""
+
+
+def test_runtime_imports_are_stdlib_only():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", STDLIB_ONLY, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

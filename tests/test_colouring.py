@@ -8,6 +8,7 @@ import time
 import pytest
 
 from propb import colouring
+from propb._bits import mask_of
 from propb import (
     Colouring,
     affine_plane_gf4,
@@ -64,22 +65,22 @@ def random_hypergraph(rng, max_v=10, max_edges=8, max_size=None):
 
 def test_is_proper_basics():
     single = make_hypergraph(3, [{0, 1}])
-    assert is_proper(single, Colouring.from_red(3, {0}))
-    assert not is_proper(single, Colouring.from_red(3, {0, 1}))
-    assert not is_proper(single, Colouring.from_red(3, {2}))  # {0,1} all blue
+    assert is_proper(single, Colouring(3, mask_of({0})))
+    assert not is_proper(single, Colouring(3, mask_of({0, 1})))
+    assert not is_proper(single, Colouring(3, mask_of({2})))  # {0,1} all blue
 
 
 def test_monochromatic_edges_on_fano_line():
-    c = Colouring.from_red(7, {0, 1, 2})
+    c = Colouring(7, mask_of({0, 1, 2}))
     assert monochromatic_edges(fano(), c) == [frozenset({0, 1, 2})]
     assert not is_proper(fano(), c)
 
 
 def test_vertex_count_mismatch_rejected():
     with pytest.raises(ValueError):
-        is_proper(triangle(), Colouring.from_red(4, {0}))
+        is_proper(triangle(), Colouring(4, mask_of({0})))
     with pytest.raises(ValueError):
-        monochromatic_edges(fano(), Colouring.from_red(3, {0}))
+        monochromatic_edges(fano(), Colouring(3, mask_of({0})))
 
 
 def test_enumerate_fixed_points():
@@ -91,7 +92,15 @@ def test_enumerate_fixed_points():
     assert plane.balanced_count == 120
     # connected bipartite over 2 blocks: one split, two orientations
     path = enumerate_proper(make_hypergraph(18, [{i, i + 1} for i in range(17)]), materialize=True)
-    assert [c.red_mask for c in path.colourings] == [0x15555, 0x2AAAA]
+    assert path.red_masks == (0x15555, 0x2AAAA)
+    assert path.colourings == (Colouring(18, 0x15555), Colouring(18, 0x2AAAA))
+    # edgeless: every mask, and the Colouring view agrees with the masks
+    for v in (0, 1, 2):
+        empty = enumerate_proper(make_hypergraph(v, []), materialize=True)
+        assert empty.red_masks == tuple(range(1 << v))
+        assert empty.colourings == tuple(Colouring(v, m) for m in empty.red_masks)
+    assert enumerate_proper(triangle(), materialize=True).colourings == ()
+    assert enumerate_proper(triangle()).colourings is None
 
 
 def test_enumerate_matches_per_colouring_oracle():
@@ -102,7 +111,7 @@ def test_enumerate_matches_per_colouring_oracle():
         report = enumerate_proper(h, materialize=True)
         assert report.total_proper == total
         assert report.balanced_count == balanced
-        assert [c.red_mask for c in report.colourings] == sorted(reds)
+        assert list(report.red_masks) == sorted(reds)
 
 
 def test_enumerate_count_is_even_with_any_edge():
@@ -118,8 +127,9 @@ def test_complement_symmetry():
     rng = random.Random(11)
     for _ in range(30):
         h = random_hypergraph(rng)
-        c = Colouring(h.v, rng.randrange(1 << h.v))
-        assert is_proper(h, c) == is_proper(h, c.complement())
+        red = rng.randrange(1 << h.v)
+        complement = red ^ ((1 << h.v) - 1)
+        assert is_proper(h, Colouring(h.v, red)) == is_proper(h, Colouring(h.v, complement))
 
 
 def test_adding_an_edge_never_gains_colourings():
@@ -134,7 +144,7 @@ def test_adding_an_edge_never_gains_colourings():
 
 def test_materialized_list_closed_under_complement():
     report = enumerate_proper(affine_plane_gf4(), materialize=True)
-    masks = {c.red_mask for c in report.colourings}
+    masks = set(report.red_masks)
     full = (1 << 16) - 1
     assert len(masks) == 120
     assert all(full ^ m in masks for m in masks)
@@ -180,7 +190,7 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
         report = enumerate_proper(h, materialize=True)
         assert report.total_proper == total
         assert report.balanced_count == balanced
-        assert [c.red_mask for c in report.colourings] == reds
+        assert list(report.red_masks) == reds
     assert enumerate_proper(SPLIT_CASES[-1]).total_proper == 1 << 11
 
 
@@ -258,7 +268,7 @@ def test_decision_past_the_enumeration_limit():
     started = time.perf_counter()
     for h, red in PAST_LIMIT_CASES:
         assert h.v > enumeration_limit()
-        expected = (False, None) if red is None else (True, Colouring.from_red(h.v, red))
+        expected = (False, None) if red is None else (True, Colouring(h.v, mask_of(red)))
         assert is_two_colourable(h) == expected
     assert time.perf_counter() - started < budget
 
@@ -277,27 +287,30 @@ def test_decision_witness_is_stable():
 
 
 def test_pair_opposites_small_example():
-    pair = pair_opposites([Colouring.from_red(2, {0}), Colouring.from_red(2, {1})])
-    assert pair == [(Colouring.from_red(2, {0}), Colouring.from_red(2, {1}))]
-    assert pair_opposites([]) == []
+    assert pair_opposites([0b01, 0b10], 2) == [(0b01, 0b10)]
+    assert pair_opposites([], 2) == []
 
 
 def test_pair_opposites_rejects_bad_input():
     with pytest.raises(ValueError):
-        pair_opposites([Colouring.from_red(2, {0})])  # not closed
+        pair_opposites([0b01], 2)  # not closed
     with pytest.raises(ValueError):
-        pair_opposites([Colouring.from_red(2, {0})] * 2)  # duplicate
-    with pytest.raises(ValueError):
-        pair_opposites([Colouring.from_red(2, {0}), Colouring.from_red(3, {1, 2})])
+        pair_opposites([0b01, 0b01], 2)  # duplicate
+    with pytest.raises(ValueError, match="self-complementary"):
+        pair_opposites([0], 0)
+    with pytest.raises(ValueError, match="out of range"):
+        pair_opposites([0b001, 0b110], 2)  # closed under complement on 3 vertices
+    with pytest.raises(ValueError, match="out of range"):
+        pair_opposites([-2, 1], 1)
 
 
 def test_pair_opposites_on_plane_census():
     report = enumerate_proper(affine_plane_gf4(), materialize=True)
-    pairs = pair_opposites(list(report.colourings))
+    pairs = pair_opposites(report.red_masks, 16)
     assert len(pairs) == 60
     for first, second in pairs:
-        assert 0 in first.red
-        assert 0 not in second.red
-        assert first.complement() == second
-    reps = [first.red_mask for first, _ in pairs]
+        assert first & 1
+        assert not second & 1
+        assert first ^ second == (1 << 16) - 1
+    reps = [first for first, _ in pairs]
     assert reps == sorted(reps)

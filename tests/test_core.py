@@ -126,7 +126,7 @@ def test_make_hypergraph_validation():
 def test_masks_are_range_checked_without_allocating_2_to_the_v():
     huge = 10**12
     assert Hypergraph(huge, (0b11,)).edge_count == 1
-    assert Colouring(huge, 0b1).red_count == 1
+    assert Colouring(huge, 0b1).red == frozenset({0})
     with pytest.raises(ValueError):
         Hypergraph(3, (0b1001,))
     with pytest.raises(ValueError):
