@@ -5,28 +5,32 @@ so counts are doubled.  The other vertices fall into three stages, in vertex
 order:
 
 - branch: vertices 1..p are searched depth first on the lowest-index free
-  vertex, blue before red.  Each assignment is propagated over all edges: a
-  monochromatic edge prunes the branch, and an edge whose coloured members
-  share a colour with one member left forces that member to the other colour.
+  vertex, blue before red.  Each assignment is propagated over the edges
+  that painting can reach: a monochromatic edge prunes the branch, and an
+  edge whose coloured members share a colour with one member left forces
+  that member to the other colour.
 - key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
 - block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
   colourings held as one big-int bit pattern.
 
-At a leaf, an edge's red side is live when none of its members is blue, and
-its blue side when none is red.  The pattern of a live side (the AND of its
-block members' colour patterns) is ORed into a table keyed by its key
-members.  A key takes a red entry when the entry's key vertices are all red
-in it and a blue entry when they are all blue; once the key's monochromatic
-mask is full, its remaining entries are skipped.  Keys that contradict a
-vertex that propagation forced are skipped, and block colourings that do so
-start out monochromatic.
+An edge's red side is monochromatic on the block colourings where its block
+members are all red: the AND of their colour patterns.  Red sides are ORed
+into a red table keyed by their key members, blue sides into a blue table.
+The tables are built down the branch tree.  A node starts from its parent's
+tables and folds in the sides whose branch members now all lie below its
+lowest free branch vertex, unless one of them has the other colour; a leaf
+reads its tables as they stand.  A key takes a red entry when the entry's
+key vertices are all red in it and a blue entry when they are all blue.
+Keys that contradict a vertex that propagation forced are skipped, and
+block colourings that do so start out monochromatic.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` sums every proper block and can list its
-colourings as red masks (ints, like edges), while
-`is_two_colourable` stops at the first one and narrows it to its lex-first
-colouring.  With 18 vertices the search is one leaf of 2 keys; with 26 it is
-at most 8 leaves of 64 keys.
+colourings as red masks (ints, like edges), while `is_two_colourable` stops
+at the first one and narrows it to its lex-first colouring.  Up to 23
+vertices there is no branch vertex and the search is one leaf (18 vertices
+give 2 keys); 26 vertices give 3 branch vertices, so at most 8 leaves of 64
+keys, and 32 give 9 and 512.
 """
 
 from __future__ import annotations
@@ -35,15 +39,28 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from propb._bits import bit_indices, mask_members, scan_bit_pattern, scan_ones, scan_popcount_pattern
+from propb._bits import (
+    bit_indices,
+    mask_members,
+    scan_bit_pattern,
+    scan_ones,
+    scan_popcount_pattern,
+    sparse_bit_indices,
+)
 from propb.core import Hypergraph
 
 DEFAULT_ENUM_LIMIT = 28
 ENUM_LIMIT_ENV = "PROPB_ENUM_LIMIT"
 
 _BLOCK_BITS = 16
-# Key bits per leaf table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB.
+# Key bits per table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB per
+# branch node, less the patterns a node shares with its parent.
 _KEY_BITS = 6
+
+# An edge as the census folds it: (block members as block bits, key members
+# as key bits, the edge mask).  Its red side is monochromatic on the block
+# colourings where the block members are all red, its blue side likewise.
+Side = tuple[tuple[int, ...], int, int]
 
 
 def enumeration_limit() -> int:
@@ -158,7 +175,7 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
             wanted = v // 2 - base.bit_count()
             balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
         if materialize:
-            red_masks.extend([base | j << v - t for j in bit_indices(proper)])
+            red_masks.extend([base | j << v - t for j in sparse_bit_indices(proper)])
 
     if not materialize:
         return EnumerationReport(2 * total, 2 * balanced)
@@ -189,19 +206,37 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     k = min(shift - 1, _KEY_BITS)
     key_base = shift - k
     key_mask = (1 << k) - 1
+    head = (1 << key_base) - 1  # vertex 0 and the branch vertices
     full = scan_ones(t)
     red_pats = [scan_bit_pattern(b, t) for b in range(t)]
     blue_pats = [full ^ p for p in red_pats]
     # Key bit i is vertex key_base + i; sorting keys by their reversed bit
     # strings puts the lowest key vertex first and blue before red.
     keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
+    pairs = [(x, x ^ 1 << i) for i in range(k) for x in range(1 << k) if x >> i & 1]
     # Sorted by block members, so _or_by_key can share AND prefixes.
     edges = sorted((mask_members(m >> shift), m >> key_base & key_mask, m) for m in h.edge_masks)
     incident: list[list[int]] = [[] for _ in range(v)]
     if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
+        # Painting reaches the branch vertices and, through edges with one
+        # member outside, whatever those edges force; each pass adds a key
+        # or block vertex, so there are at most k + t + 1 of them.  An edge
+        # with two members outside that closure never becomes unit or
+        # monochromatic while branching, so it gets no incident entries.
+        reach = head
+        while True:
+            grow = 0
+            for mask in h.edge_masks:
+                rest = mask & ~reach
+                if rest and not rest & (rest - 1):
+                    grow |= rest
+            if not grow:
+                break
+            reach |= grow
         for mask in h.edge_masks:
-            for u in mask_members(mask):
-                incident[u].append(mask)
+            if not mask & ~reach:
+                for u in mask_members(mask):
+                    incident[u].append(mask)
 
     red = 0
     blue = 0
@@ -251,29 +286,83 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             else:
                 blue ^= bit
 
-    branch = (1 << key_base) - 2  # vertices 1 .. key_base - 1
-    stack: list[list[int]] = []  # frames: [vertex, tried_red, trail_mark]
+    def fold(
+        sides: list[Side], opposite: int, table: dict[int, int], pats: list[int]
+    ) -> dict[int, int]:
+        """OR the sides that miss `opposite` into a copy of `table`.
+
+        The parent's table is never written: the copy shares its patterns.
+        """
+        live = [side for side in sides if not side[2] & opposite]
+        return _or_by_key(live, pats, full, dict(table)) if live else table
+
+    # tops[u] lists, in `edges` order, the sides whose highest member below
+    # key_base is u (0 when there is none).  At a node whose lowest free
+    # branch vertex is u, every vertex below u is painted, so the sides in
+    # tops[:u] can be tested against the painted vertices and folded in.
+    tops = [edges]
+    if key_base > 1:
+        tops = [[] for _ in range(key_base)]
+        for side in edges:
+            tops[(side[2] & head | 1).bit_length() - 1].append(side)
+    branch = head - 1  # vertices 1 .. key_base - 1
+    # frames: [vertex, tried_red, trail_mark, red, blue]; the trail length
+    # and the painted vertices are those of the node that branches on vertex
+    stack: list[list[int]] = []
+    # nodes[d] = (reached, red table, blue table) of the node at depth d,
+    # where the sides in tops[:reached] are folded in.  Each node ORs in
+    # only the sides whose highest branch member lies between its parent's
+    # lowest free vertex and its own, on top of its parent's tables.  A node
+    # is built when a leaf below it is reached, so subtrees that propagation
+    # refutes cost nothing here.  A key or block vertex that is forced later
+    # can contradict a folded side; that is harmless, since a key against a
+    # forced vertex is skipped and those block colourings start in `barred`.
+    nodes: list[tuple[int, dict[int, int], dict[int, int]]] = []
     ok = paint([(0, False)])
     while True:
         if ok:
             free = branch & ~(red | blue)
             if free:
                 u = (free & -free).bit_length() - 1
-                stack.append([u, 0, len(trail)])
+                stack.append([u, 0, len(trail), red, blue])
                 ok = paint([(u, False)])
                 continue
-            red_sides = ((low, gk) for low, gk, mask in edges if not mask & blue)
-            blue_sides = ((low, gk) for low, gk, mask in edges if not mask & red)
-            groups = [(gk, gk, p) for gk, p in _or_by_key(red_sides, red_pats, full).items()]
-            groups += [(gk, 0, p) for gk, p in _or_by_key(blue_sides, blue_pats, full).items()]
+            while len(nodes) <= len(stack):  # build the missing nodes down to this leaf
+                below, red_table, blue_table = nodes[-1] if nodes else (0, {}, {})
+                if len(nodes) < len(stack):
+                    reached, _, _, at_red, at_blue = stack[len(nodes)]
+                else:
+                    reached, at_red, at_blue = key_base, red, blue
+                if reached == below + 1:
+                    sides = tops[below]
+                else:
+                    sides = [side for u in range(below, reached) for side in tops[u]]
+                red_table = fold(sides, at_blue, red_table, red_pats)
+                blue_table = fold(sides, at_red, blue_table, blue_pats)
+                nodes.append((reached, red_table, blue_table))
+            red_table, blue_table = nodes[-1][1:]
             key_set = (red | blue) >> key_base & key_mask
             key_red = red >> key_base & key_mask
             barred = 0  # block colourings that contradict a forced block vertex
             for b in bit_indices((red | blue) >> shift):
                 barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
-            base = red & ((1 << key_base) - 1)
+            base = red & head
+            # A red entry applies to the keys that contain its key members,
+            # a blue one to the keys that miss them all.  Keys are tested
+            # entry by entry, stopping at a full mono mask, until one is
+            # proper (a decision ends there); the keys after it read subset
+            # ORs of the tables.
+            groups = [(g, g, p) for g, p in red_table.items()]
+            groups += [(g, 0, p) for g, p in blue_table.items()]
+            reds: list[int] = []
+            blues: list[int] = []
             for key in keys:
                 if key & key_set != key_red:
+                    continue
+                if reds:
+                    mono = barred | reds[key] | blues[key_mask ^ key]
+                    if mono != full:
+                        yield base | key << key_base, full ^ mono
                     continue
                 mono = barred
                 for group_key, want, pattern in groups:
@@ -283,11 +372,14 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
                             break
                 else:
                     yield base | key << key_base, full ^ mono
-            del groups  # free this leaf's table before the next one is built
+                    reds = _subset_or(red_table, pairs, 1 << k)
+                    blues = _subset_or(blue_table, pairs, 1 << k)
+            del groups, reds, blues  # free them before the next leaf's tables are built
         while stack and stack[-1][1]:
             stack.pop()
         if not stack:
             return
+        del nodes[len(stack) :]  # free the finished subtree's tables
         frame = stack[-1]
         undo(frame[2])
         frame[1] = 1
@@ -295,18 +387,17 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
 
 
 def _or_by_key(
-    sides: Iterable[tuple[tuple[int, ...], int]], pats: list[int], full: int
+    sides: Iterable[Side], pats: list[int], full: int, table: dict[int, int]
 ) -> dict[int, int]:
-    """OR each side's pattern (the AND of pats over its low bits) by key.
+    """OR each side's pattern (the AND of pats over its low bits) into table by key.
 
     Sides come sorted by low bits, so neighbours share a prefix of them;
     `ands[i]` keeps the AND over the previous side's first i bits, and
     only the bits past the shared prefix cost a big AND.
     """
-    table: dict[int, int] = {}
     prev: tuple[int, ...] = ()
     ands = [full]
-    for low, key in sides:
+    for low, key, _ in sides:
         shared = 0
         for a, b in zip(prev, low):
             if a != b:
@@ -320,6 +411,22 @@ def _or_by_key(
         prev = low
         table[key] = table.get(key, 0) | pattern
     return table
+
+
+def _subset_or(table: dict[int, int], pairs: list[tuple[int, int]], size: int) -> list[int]:
+    """f[x] = OR of table[g] over the g (< size) that are subsets of x.
+
+    `pairs` lists (x, x minus bit i) for each bit i in turn, lowest first,
+    and each x with bit i set; after bit i, f[x] covers the g that differ
+    from x only in bits up to i that x has set.
+    """
+    f = [0] * size
+    for g, pattern in table.items():
+        f[g] = pattern
+    for x, y in pairs:
+        if f[y]:
+            f[x] |= f[y]
+    return f
 
 
 def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:

@@ -25,9 +25,9 @@ class DocumentError(ValueError):
 
 def serialize(h: Hypergraph) -> str:
     """Canonical text form; parse(serialize(h)) == h."""
+    names = [str(u) for u in range(h.v)]
     lines = [f"p {h.v} {h.edge_count}"]
-    for mask in h.edge_masks:
-        lines.append(" ".join(str(u) for u in mask_members(mask)))
+    lines += [" ".join(map(names.__getitem__, mask_members(mask))) for mask in h.edge_masks]
     return "\n".join(lines) + "\n"
 
 

@@ -122,6 +122,11 @@ def test_alteration_report_and_file(tmp_path, capsys):
             "21878045e0565a57f1ff7f861a8c7750a3bcdff62936c96a1002e99d7ba81e40",
             "7e8884533be39d6683e2c6a55e91f5fe759e7e95a0e429b4062038d9661fba39",
         ),
+        (
+            7, 5,
+            "bbb1f5415bf879358d91e686fde8b20c055b0f9567e4bb60b8f4c2a51f51c51e",
+            "c96f9eccf8d4a91c0505c6b017b187f32324ed25908a8e13b1930e13315992c6",
+        ),
     ],
 )
 def test_alteration_output_is_pinned(tmp_path, capsys, n, seed, stdout_sha, doc_sha):

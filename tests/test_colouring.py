@@ -2,6 +2,7 @@
 against a scan of all colourings, decision witnesses against a scan in lex
 order, at the real stage sizes and at tiny ones."""
 
+import hashlib
 import random
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from propb import colouring
 from propb._bits import mask_of
+from propb.alteration import AlterationParams, derive_seed, sample_uniform_edges
 from propb import (
     Colouring,
     affine_plane_gf4,
@@ -173,18 +175,33 @@ SPLIT_CASES = [
     make_hypergraph(12, [{0, 2, 11}, {1, 2}, {7, 8, 11}, {3, 4, 5, 9, 10}, {1, 6, 10}]),
     # uncolourable: every block leaves early
     make_hypergraph(10, list(fano().edges) + [{7, 8, 9}]),
+    # With (block, key) bits (2, 1), vertices 1-8 branch, 9 is the key and
+    # 10-11 the block.  Sides folded in at depth 1 ({1, 9, 11}, {1, 10, 11})
+    # later have their key or block member forced the other way by 2- and
+    # 3-edges painted deeper down.
+    make_hypergraph(
+        12, [{1, 9, 11}, {2, 9}, {1, 10, 11}, {5, 11}, {6, 7, 9}, {3, 4, 10}, {0, 8, 10}]
+    ),
+    make_hypergraph(
+        12,
+        [{1, 2, 9}, {2, 3, 10}, {3, 4, 11}, {4, 5, 9}, {5, 6, 10}, {6, 7, 11}, {7, 8, 9},
+         {1, 8, 10}, {2, 11}],
+    ),
     # dense: one 2-edge, so half of all colourings are proper
     make_hypergraph(12, [{3, 10}]),
 ]
 
 
-@pytest.mark.parametrize("block_bits,key_bits", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("block_bits,key_bits", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
-    """Tiny blocks and tables force many blocks, many passes and split edges."""
+    """Tiny blocks and tables force many blocks, many passes and split edges;
+    (2, 1) leaves up to 8 branch vertices, and 2- and 3-edges force vertices
+    down the branch tree."""
     monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
     rng = random.Random(31)
     randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(12)]
+    randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(12)]
     for h in SPLIT_CASES + randoms:
         total, balanced, reds = census_oracle(h)
         report = enumerate_proper(h, materialize=True)
@@ -192,6 +209,18 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
         assert report.balanced_count == balanced
         assert list(report.red_masks) == reds
     assert enumerate_proper(SPLIT_CASES[-1]).total_proper == 1 << 11
+
+
+def test_n8_census_is_pinned(monkeypatch):
+    """The 32-vertex census of run_alteration(8, 5)'s sampled edges: 512
+    branch leaves, recorded before the branch-tree tables."""
+    monkeypatch.setenv("PROPB_ENUM_LIMIT", "32")
+    params = AlterationParams.for_edge_size(8, 5)
+    h1 = sample_uniform_edges(params.v, 8, params.m_prime, derive_seed(5, 0))
+    report = enumerate_proper(h1, materialize=True)
+    assert (report.total_proper, report.balanced_count) == (58938, 45426)
+    digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
+    assert digest == "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
 
 
 @pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
@@ -216,7 +245,8 @@ def test_decision_agrees_with_enumeration():
 
 
 @pytest.mark.parametrize(
-    "block_bits,key_bits", [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 2), (2, 3), (3, 3)]
+    "block_bits,key_bits",
+    [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 1), (2, 2), (2, 3), (3, 3)],
 )
 def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
     """Tiny sizes put vertices in the branch, key and block stages at once;

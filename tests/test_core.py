@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propb import (
@@ -22,7 +22,7 @@ from propb import (
     triangle,
     union,
 )
-from propb._bits import mask_members, mask_of
+from propb._bits import bit_indices, mask_members, mask_of, sparse_bit_indices
 
 
 def pascal_rows(limit):
@@ -138,6 +138,54 @@ def test_masks_are_range_checked_without_allocating_2_to_the_v():
 def test_canonical_edge_order_size_then_lex():
     h = make_hypergraph(6, [{0, 2, 3}, {0, 1, 5}, {4, 5}])
     assert h.edges == (frozenset({4, 5}), frozenset({0, 1, 5}), frozenset({0, 2, 3}))
+
+
+def naive_bit_indices(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+BLOCK = 1 << 16  # bits in a census block of 16 scan vertices
+
+
+def spread_bits(count, seed):
+    """A BLOCK-bit int with `count` set bits, the top one included."""
+    rng = random.Random(seed)
+    return mask_of(rng.sample(range(BLOCK - 1), count - 1)) | 1 << BLOCK - 1
+
+
+FIXED_INTS = (
+    [("zero", 0)]
+    + [(f"bit {i}", 1 << i) for i in (0, 7, 8, 63, 64, 65, 127, 128, BLOCK - 1)]
+    + [(f"block with {count} bits", spread_bits(count, count)) for count in (1, 6, 200)]
+    + [("full block", (1 << BLOCK) - 1)]
+)
+
+
+@pytest.mark.parametrize("x", [x for _, x in FIXED_INTS], ids=[name for name, _ in FIXED_INTS])
+def test_bit_indices_matches_naive_on_fixed_ints(x):
+    expected = naive_bit_indices(x)
+    assert bit_indices(x) == expected
+    assert sparse_bit_indices(x) == expected
+
+
+@st.composite
+def wide_ints(draw):
+    """Ints up to BLOCK bits wide: uniformly random bits (dense), or up to
+    one set bit per 64 below the top one (sparse, on both sides of the
+    one-per-128 switch in sparse_bit_indices)."""
+    width = draw(st.integers(min_value=1, max_value=BLOCK))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return rng.getrandbits(width)
+    return mask_of(rng.sample(range(width), rng.randint(1, max(1, width >> 6)))) | 1 << width - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_ints())
+def test_bit_indices_matches_naive(x):
+    expected = naive_bit_indices(x)
+    assert bit_indices(x) == expected
+    assert sparse_bit_indices(x) == expected
 
 
 @st.composite
