@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from propb._bits import mask_members
 from propb.colouring import Colouring, enumerate_proper, enumeration_limit
-from propb.core import DyadicValue, Hypergraph, binomial, make_hypergraph, q_value, union
+from propb.core import DyadicValue, Hypergraph, binomial, q_value, union
 from propb.formats import MAX_VERTICES
 
 # Retry r of a run reseeds with seed ^ (r * _RESEED_STEP) mod 2**64, so one
@@ -136,14 +136,14 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
     if m < 0:
         raise ValueError("edge count must be nonnegative")
     rng = random.Random(seed)
-    pool = list(range(v))
-    edges = []
+    pool = [1 << u for u in range(v)]
+    masks = []
     for _ in range(m):
         for i in range(n):
             j = rng.randrange(i, v)
             pool[i], pool[j] = pool[j], pool[i]
-        edges.append(pool[:n])
-    return make_hypergraph(v, edges)
+        masks.append(sum(pool[:n]))
+    return Hypergraph(v, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,8 @@ def run_alteration(
 
     Samples m' uniform n-edges, enumerates surviving proper colourings, and
     adds the lowest-indexed half of each survivor's majority colour class
-    (red on ties) as a blocking edge.  In strict mode the sample is redrawn
+    (red on ties) as a blocking edge, carved by clearing the class's
+    surplus highest members.  In strict mode the sample is redrawn
     (derived seeds) until at most 2**(v/2) colourings survive.
 
     `verified_uncolourable` is a proof from the exact census of the sampled
@@ -295,12 +296,9 @@ def run_alteration(
     full = (1 << v) - 1
     killing_masks = []
     for red in survivors:
-        majority = red if 2 * red.bit_count() >= v else full ^ red
-        mask = 0
-        for _ in range(params.big_edge_size):
-            low = majority & -majority
-            mask |= low
-            majority ^= low
+        mask = red if 2 * red.bit_count() >= v else full ^ red
+        for _ in range(mask.bit_count() - params.big_edge_size):
+            mask ^= 1 << (mask.bit_length() - 1)
         killing_masks.append(mask)
 
     h2 = Hypergraph(v, tuple(killing_masks))

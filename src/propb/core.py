@@ -114,20 +114,39 @@ class Hypergraph:
     Edges are bitmasks held in canonical order: ascending size, then
     lexicographic by sorted member list.  Duplicates collapse, so structural
     equality is hypergraph equality and serialization is deterministic.
+    Masks may arrive in any order; masks already strictly increasing in
+    canonical order (a parsed canonical document, sampled edges joined with
+    larger blocking edges) are kept without sorting.
     """
 
     v: int
     edge_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.v < 0:
+        v = self.v
+        if v < 0:
             raise ValueError("vertex count must be nonnegative")
+        # Two masks of one size are in canonical order when the lowest
+        # vertex in exactly one of them is in the first.
+        ordered = True
+        prev = prev_size = 0
         for mask in self.edge_masks:
-            if mask <= 0 or mask.bit_length() > self.v:
+            if mask <= 0 or mask.bit_length() > v:
                 raise ValueError("edge mask out of range for vertex count")
-            if mask.bit_count() < 2:
+            size = mask.bit_count()
+            if size < 2:
                 raise ValueError("every edge needs at least 2 vertices")
-        width = (max(self.edge_masks, default=0).bit_length() + 7) // 8
+            if size != prev_size:
+                ordered = ordered and size > prev_size
+                prev_size = size
+            elif ordered:
+                diff = prev ^ mask
+                ordered = prev & diff & -diff
+            prev = mask
+        if ordered:
+            object.__setattr__(self, "edge_masks", tuple(self.edge_masks))
+            return
+        width = (max(self.edge_masks).bit_length() + 7) // 8
         canon = sorted(
             set(self.edge_masks),
             key=lambda m: (m.bit_count(), m.to_bytes(width, "little").translate(_LEX)),
@@ -184,7 +203,12 @@ def min_edge_size(h: Hypergraph) -> int:
 
 
 def union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    """Edge union of two hypergraphs on the same vertex set."""
+    """Edge union of two hypergraphs on the same vertex set.
+
+    When h1's last edge precedes h2's first in canonical order, as when
+    every h2 edge is larger, the concatenation is already canonical and
+    the union is one linear pass.
+    """
     if h1.v != h2.v:
         raise ValueError("vertex counts differ")
     return Hypergraph(h1.v, h1.edge_masks + h2.edge_masks)

@@ -8,12 +8,19 @@ whitespace, edges in canonical order, duplicate edge lines rejected rather
 than collapsed.  The vertex count may not exceed ``MAX_VERTICES`` (4096):
 each edge is held as a v-bit mask, so the cap bounds the memory one edge
 line can claim.
+
+Readers accept edge lines in any order.  Text and masks are converted by
+table, not vertex by vertex: a writer joins one pre-joined name string per
+nonzero byte of a mask, and a reader maps each token to its vertex bit.  A
+canonical document's masks arrive in canonical order and are kept without
+sorting, so reading and writing one are linear in its length.
 """
 
 from __future__ import annotations
 
-from propb._bits import mask_members
-from propb.core import Hypergraph, make_hypergraph
+from functools import lru_cache
+
+from propb.core import Hypergraph
 
 
 MAX_VERTICES = 4096
@@ -23,11 +30,30 @@ class DocumentError(ValueError):
     """Malformed hypergraph document."""
 
 
+@lru_cache(maxsize=None)
+def _byte_names(i: int) -> tuple[str, ...]:
+    """Entry b names the vertices 8i..8i+7 whose bits are set in byte b.
+
+    The names are space-joined as on an edge line, so a line is the join of
+    one entry per nonzero byte of its mask.
+    """
+    names = [""]
+    for b in range(1, 256):
+        top = b.bit_length() - 1
+        rest, name = names[b ^ 1 << top], str(8 * i + top)
+        names.append(f"{rest} {name}" if rest else name)
+    return tuple(names)
+
+
 def serialize(h: Hypergraph) -> str:
     """Canonical text form; parse(serialize(h)) == h."""
-    names = [str(u) for u in range(h.v)]
+    width = (max(h.edge_masks, default=0).bit_length() + 7) // 8
+    rows = [_byte_names(i) for i in range(width)]
     lines = [f"p {h.v} {h.edge_count}"]
-    lines += [" ".join(map(names.__getitem__, mask_members(mask))) for mask in h.edge_masks]
+    append = lines.append
+    for mask in h.edge_masks:
+        data = mask.to_bytes(width, "little")
+        append(" ".join([row[b] for row, b in zip(rows, data) if b]))
     return "\n".join(lines) + "\n"
 
 
@@ -60,28 +86,43 @@ def parse(text: str) -> Hypergraph:
     if v > MAX_VERTICES:
         raise DocumentError(f"line {lineno}: vertex count {v} exceeds the cap of {MAX_VERTICES}")
 
-    edges: list[list[int]] = []
-    seen: set[tuple[int, ...]] = set()
+    # A line's keys are its vertex bits, read through the table.  A line
+    # with a token the table lacks (``007``, ``+1``, ``-1``, ``x``) is read
+    # by `int` and range-checked after the order check, as the messages
+    # promise.  Either key list is strictly increasing when the vertices are.
+    bit_of = {str(u): 1 << u for u in range(v)}
+    masks: list[int] = []
+    seen: set[int] = set()
     for lineno, line in rows[1:]:
+        tokens = line.split()
         try:
-            members = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise DocumentError(f"line {lineno}: non-numeric vertex index") from exc
-        if len(members) < 2:
+            keys = [bit_of[tok] for tok in tokens]
+            numbers = False
+        except KeyError:
+            try:
+                keys = [int(tok) for tok in tokens]
+            except ValueError as exc:
+                raise DocumentError(f"line {lineno}: non-numeric vertex index") from exc
+            numbers = True
+        if len(keys) < 2:
             raise DocumentError(f"line {lineno}: edge has fewer than 2 vertices")
-        for a, b in zip(members, members[1:]):
-            if a >= b:
+        prev = keys[0] - 1
+        for key in keys:
+            if key <= prev:
                 raise DocumentError(f"line {lineno}: vertex indices must be strictly increasing")
-        if members[0] < 0 or members[-1] >= v:
-            raise DocumentError(f"line {lineno}: vertex index out of range")
-        key = tuple(members)
-        if key in seen:
+            prev = key
+        if numbers:
+            if keys[0] < 0 or keys[-1] >= v:
+                raise DocumentError(f"line {lineno}: vertex index out of range")
+            keys = [1 << u for u in keys]
+        mask = sum(keys)
+        if mask in seen:
             raise DocumentError(f"line {lineno}: duplicate edge line")
-        seen.add(key)
-        edges.append(members)
-    if len(edges) != m:
-        raise DocumentError(f"header promises {m} edges, found {len(edges)}")
-    return make_hypergraph(v, edges)
+        seen.add(mask)
+        masks.append(mask)
+    if len(masks) != m:
+        raise DocumentError(f"header promises {m} edges, found {len(masks)}")
+    return Hypergraph(v, tuple(masks))
 
 
 def check_line(name: str, expected: str, actual: str, passed: bool) -> str:

@@ -18,6 +18,7 @@ from propb import (
     min_edge_size,
     paper_example,
     q_value,
+    run_alteration,
     seymour_toft,
     triangle,
     union,
@@ -201,11 +202,58 @@ def edge_masks(draw):
     return v, [mask_of(e) for e in edges]
 
 
+def canonical_sort(masks):
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), mask_members(m))))
+
+
 @given(edge_masks())
 def test_canonical_edge_order_matches_member_lists(case):
     v, masks = case
-    expected = sorted(set(masks), key=lambda m: (m.bit_count(), mask_members(m)))
-    assert Hypergraph(v, tuple(masks)).edge_masks == tuple(expected)
+    assert Hypergraph(v, tuple(masks)).edge_masks == canonical_sort(masks)
+
+
+@given(edge_masks(), st.randoms(use_true_random=False))
+def test_canonical_input_is_kept_and_any_disorder_is_sorted(case, rng):
+    v, masks = case
+    canon = canonical_sort(masks)
+    # Input already in canonical order is kept as it is, not sorted again.
+    assert Hypergraph(v, canon).edge_masks is canon
+    if not canon:
+        return
+    disorders = [canon + canon[-1:], canon[:1] + canon]  # duplicate neighbours
+    for i in range(len(canon) - 1):
+        swapped = list(canon)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        disorders.append(tuple(swapped))
+    smaller = [j for j in range(len(canon)) if canon[j].bit_count() < canon[-1].bit_count()]
+    if smaller:
+        j = rng.choice(smaller)  # a smaller edge after a larger one
+        disorders.append(canon[:j] + canon[j + 1 :] + canon[j : j + 1])
+    for disorder in disorders:
+        assert Hypergraph(v, disorder).edge_masks == canon
+
+
+def test_canonical_order_is_by_lowest_differing_vertex():
+    # {0, 3} precedes {1, 2} although 0b1001 > 0b0110 as integers.
+    for pair in [(0b0011, 0b0101), (0b1001, 0b0110), (0b0101, 0b1010), (0b011, 0b0111)]:
+        assert Hypergraph(4, pair).edge_masks == pair
+        assert Hypergraph(4, pair[::-1]).edge_masks == pair
+        assert Hypergraph(4, pair + pair[:1]).edge_masks == pair
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_union_of_equal_size_edges_matches_the_sort(n):
+    # At n = 3 and 4 sampled and blocking edges share a size, so the two
+    # edge lists interleave and the union takes the sorting path.
+    interleaved = 0
+    for seed in range(12):
+        _, report = run_alteration(n, seed)
+        joined = report.h1.edge_masks + report.h2.edge_masks
+        merged = union(report.h1, report.h2)
+        assert merged == Hypergraph(report.h1.v, joined)
+        assert merged.edge_masks == canonical_sort(joined)
+        interleaved += merged.edge_masks != joined
+    assert interleaved
 
 
 def test_q_values_of_named_hypergraphs():

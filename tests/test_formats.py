@@ -1,5 +1,7 @@
 """Text document round trips and line-precise parse errors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,11 +84,167 @@ def test_parse_errors():
         ("p 3 1\n-1 2\n", "out of range"),
         ("p 3 2\n0 1\n0 1\n", "duplicate edge line"),
         ("p 3 2\n0 1\n", "promises 2 edges, found 1"),
+        # more than one fault on a line: the order check fires before the range check
+        ("p 3 1\n0 0 5\n", "line 2: vertex indices must be strictly increasing"),
+        ("p 3 1\n2 1 -1\n", "line 2: vertex indices must be strictly increasing"),
+        ("p 3 1\n007 1\n", "line 2: vertex indices must be strictly increasing"),
+        ("p 3 2\n0 1\n00 01\n", "line 3: duplicate edge line"),
     ]
     for doc, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
             parse(doc)
     assert parse(f"p {MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n").v == MAX_VERTICES
+    # tokens int() reads but a writer never emits are still accepted
+    assert parse("p 3 1\n+0 2\n") == make_hypergraph(3, [{0, 2}])
+    assert parse("p 3 1\n00 1\n") == make_hypergraph(3, [{0, 1}])
+
+
+def reference_parse(text):
+    """The line-by-line parser: int() per token, checks in message order."""
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append((lineno, line))
+    if not rows:
+        raise DocumentError("empty document")
+    lineno, header = rows[0]
+    fields = header.split()
+    if len(fields) != 3 or fields[0] != "p":
+        raise DocumentError(f"line {lineno}: header must be 'p <vertices> <edges>'")
+    try:
+        v, m = int(fields[1]), int(fields[2])
+    except ValueError as exc:
+        raise DocumentError(f"line {lineno}: non-numeric header field") from exc
+    if v < 0 or m < 0:
+        raise DocumentError(f"line {lineno}: negative header field")
+    if v > MAX_VERTICES:
+        raise DocumentError(f"line {lineno}: vertex count {v} exceeds the cap of {MAX_VERTICES}")
+    edges = []
+    seen = set()
+    for lineno, line in rows[1:]:
+        try:
+            members = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise DocumentError(f"line {lineno}: non-numeric vertex index") from exc
+        if len(members) < 2:
+            raise DocumentError(f"line {lineno}: edge has fewer than 2 vertices")
+        for a, b in zip(members, members[1:]):
+            if a >= b:
+                raise DocumentError(f"line {lineno}: vertex indices must be strictly increasing")
+        if members[0] < 0 or members[-1] >= v:
+            raise DocumentError(f"line {lineno}: vertex index out of range")
+        key = tuple(members)
+        if key in seen:
+            raise DocumentError(f"line {lineno}: duplicate edge line")
+        seen.add(key)
+        edges.append(members)
+    if len(edges) != m:
+        raise DocumentError(f"header promises {m} edges, found {len(edges)}")
+    return make_hypergraph(v, edges)
+
+
+FAULTS = (
+    None,
+    "non-numeric",
+    "single vertex",
+    "repeat",
+    "decrease",
+    "out of range",
+    "negative",
+    "decrease and out of range",
+    "duplicate",
+    "count",
+    "header",
+)
+
+
+@st.composite
+def loose_documents(draw):
+    """A document as a person might write it: edge lines shuffled, comments,
+    blank lines, loose spacing, tab separators, CRLF endings, tokens such as
+    ``007``, ``+3`` and ``1_2``, plus at most one injected fault.  One kind of fault
+    puts two errors on one line: the first check to fire must win."""
+    v = draw(st.integers(min_value=2, max_value=20))
+    edges = draw(
+        st.lists(
+            st.frozensets(st.integers(0, v - 1), min_size=2, max_size=min(v, 8)),
+            unique=True,
+            max_size=12,
+        )
+    )
+    fault = draw(st.sampled_from(FAULTS))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    lines = [sorted(e) for e in edges]
+    rng.shuffle(lines)
+    m = len(lines)
+    if fault == "count":
+        m += rng.choice([-1, 1]) if m else 1
+    elif fault not in (None, "header"):
+        if not lines:
+            lines.append([0, 1])
+            m += 1
+        i = rng.randrange(len(lines))
+        e = list(lines[i])
+        if fault == "non-numeric":
+            e[rng.randrange(len(e))] = rng.choice(["x", "1.5", "0x1", "--1"])
+        elif fault == "single vertex":
+            e = e[:1]
+        elif fault == "repeat":
+            j = rng.randrange(len(e))
+            e.insert(j, e[j])
+        elif fault == "decrease":
+            e.reverse()
+        elif fault == "out of range":
+            e.append(rng.randint(v, v + 3))
+        elif fault == "negative":
+            e.insert(0, -rng.randint(1, 3))
+        elif fault == "decrease and out of range":
+            e = [rng.choice([-1, v])] + e[::-1]
+        elif fault == "duplicate":
+            lines.insert(rng.randint(0, len(lines)), list(e))
+            m += 1
+        lines[i] = e
+
+    def spell(u):
+        if isinstance(u, str) or u < 0:
+            return str(u)
+        forms = [str(u)] * 4 + [f"0{u}", f"00{u}", f"+{u}"]
+        if u >= 10:
+            forms.append(f"{str(u)[0]}_{str(u)[1:]}")
+        return rng.choice(forms)
+
+    def gap():
+        return rng.choice([" ", " ", " ", "  ", "\t", " \t "])
+
+    def pad():
+        return rng.choice(["", "", "", " ", "\t"])
+
+    header = f"p{gap()}{v}{gap()}{m}"
+    if fault == "header":
+        header = rng.choice([f"p {v}", f"q {v} {m}", f"p {v} x", f"p -{v + 1} {m}"])
+    out = []
+    for row in [header] + lines:
+        while rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# comment", "  # 1 2 3", "#"]))
+        text = row if isinstance(row, str) else gap().join(spell(u) for u in row)
+        out.append(pad() + text + pad())
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(out) + rng.choice(["", newline])
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+@given(loose_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_reference_parser(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
 
 
 def test_parse_errors_carry_line_numbers():
