@@ -8,7 +8,9 @@ order:
   vertex, blue before red.  Each assignment is propagated over the edges
   that painting can reach: a monochromatic edge prunes the branch, and an
   edge whose coloured members share a colour with one member left forces
-  that member to the other colour.
+  that member to the other colour.  The search is one worklist of pending
+  branches (node, vertex, colour), blue on top; each node keeps its own
+  painted vertices and a parent link, so nothing is ever undone.
 - key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
 - block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
   colourings held as one big-int bit pattern.
@@ -18,9 +20,10 @@ members are all red: the AND of their colour patterns.  Red sides are ORed
 into a red table keyed by their key members, blue sides into a blue table.
 The tables are built down the branch tree.  A node starts from its parent's
 tables and folds in the sides whose branch members now all lie below its
-lowest free branch vertex, unless one of them has the other colour; a leaf
-reads its tables as they stand.  A key takes a red entry when the entry's
-key vertices are all red in it and a blue entry when they are all blue.
+lowest free branch vertex, unless one of them has the other colour.  A leaf
+builds the missing tables from its nearest built ancestor down and reads
+its own as they stand.  A key takes a red entry when the entry's key
+vertices are all red in it and a blue entry when they are all blue.
 Keys that contradict a vertex that propagation forced are skipped, and
 block colourings that do so start out monochromatic.
 
@@ -238,36 +241,24 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
                 for u in mask_members(mask):
                     incident[u].append(mask)
 
-    red = 0
-    blue = 0
-    trail: list[tuple[int, bool]] = []
-
-    def paint(queue: list[tuple[int, bool]]) -> bool:
-        """Apply queued assignments plus unit consequences; False on conflict.
-
-        Whatever got painted stays on the trail even when a conflict follows,
-        so callers roll back to their own mark.
-        """
-        nonlocal red, blue
-        i = 0
-        while i < len(queue):
-            u, as_red = queue[i]
-            i += 1
+    def paint(red: int, blue: int, u: int, as_red: bool) -> tuple[int, int] | None:
+        """Paint u onto (red, blue) and propagate: the new (red, blue), or None on a conflict."""
+        queue = [(u, as_red)]
+        for u, as_red in queue:  # forced assignments join the queue as it runs
             bit = 1 << u
             if (red | blue) & bit:
                 if bool(red & bit) != as_red:
-                    return False
+                    return None
                 continue
             if as_red:
                 red |= bit
             else:
                 blue |= bit
-            trail.append((bit, as_red))
             for mask in incident[u]:
                 r = mask & red
                 b = mask & blue
                 if r == mask or b == mask:
-                    return False
+                    return None
                 rest = mask & ~(red | blue)
                 if rest and rest & (rest - 1) == 0:
                     # one member left; if the rest share a colour, force the opposite
@@ -275,25 +266,16 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
                         queue.append((rest.bit_length() - 1, False))
                     elif r == 0:
                         queue.append((rest.bit_length() - 1, True))
-        return True
-
-    def undo(mark: int) -> None:
-        nonlocal red, blue
-        while len(trail) > mark:
-            bit, was_red = trail.pop()
-            if was_red:
-                red ^= bit
-            else:
-                blue ^= bit
+        return red, blue
 
     def fold(
-        sides: list[Side], opposite: int, table: dict[int, int], pats: list[int]
+        runs: list[list[Side]], opposite: int, table: dict[int, int], pats: list[int]
     ) -> dict[int, int]:
-        """OR the sides that miss `opposite` into a copy of `table`.
+        """OR the sides in `runs` that miss `opposite` into a copy of `table`.
 
         The parent's table is never written: the copy shares its patterns.
         """
-        live = [side for side in sides if not side[2] & opposite]
+        live = [side for run in runs for side in run if not side[2] & opposite]
         return _or_by_key(live, pats, full, dict(table)) if live else table
 
     # tops[u] lists, in `edges` order, the sides whose highest member below
@@ -306,84 +288,76 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         for side in edges:
             tops[(side[2] & head | 1).bit_length() - 1].append(side)
     branch = head - 1  # vertices 1 .. key_base - 1
-    # frames: [vertex, tried_red, trail_mark, red, blue]; the trail length
-    # and the painted vertices are those of the node that branches on vertex
-    stack: list[list[int]] = []
-    # nodes[d] = (reached, red table, blue table) of the node at depth d,
-    # where the sides in tops[:reached] are folded in.  Each node ORs in
-    # only the sides whose highest branch member lies between its parent's
-    # lowest free vertex and its own, on top of its parent's tables.  A node
-    # is built when a leaf below it is reached, so subtrees that propagation
-    # refutes cost nothing here.  A key or block vertex that is forced later
+    # A node is [reached, red, blue, parent, tables]: a painted state whose
+    # lowest free branch vertex is `reached` (key_base at a leaf) and, once
+    # built, its red and blue tables with the sides in tops[:reached] folded
+    # in: its parent's tables plus the sides whose highest branch member lies
+    # in between.  Nodes are built when a leaf below them is reached, so
+    # subtrees that propagation refutes cost nothing here, and freed when no
+    # pending branch or child holds them.  A key or block vertex forced later
     # can contradict a folded side; that is harmless, since a key against a
     # forced vertex is skipped and those block colourings start in `barred`.
-    nodes: list[tuple[int, dict[int, int], dict[int, int]]] = []
-    ok = paint([(0, False)])
-    while True:
-        if ok:
-            free = branch & ~(red | blue)
-            if free:
-                u = (free & -free).bit_length() - 1
-                stack.append([u, 0, len(trail), red, blue])
-                ok = paint([(u, False)])
+    # `work` holds the pending branches (node, vertex, as_red), blue on top;
+    # the root is the empty colouring, whose one branch paints vertex 0 blue.
+    work: list[tuple[list, int, bool]] = [([0, 0, 0, None, ({}, {})], 0, False)]
+    while work:
+        parent, u, as_red = work.pop()
+        painted = paint(parent[1], parent[2], u, as_red)
+        if painted is None:
+            continue
+        red, blue = painted
+        free = branch & ~(red | blue)
+        reached = (free & -free).bit_length() - 1 if free else key_base
+        node = [reached, red, blue, parent, None]
+        if free:
+            work += [(node, reached, True), (node, reached, False)]
+            continue
+        path = []  # this leaf and its ancestors up to the nearest built node
+        while node[4] is None:
+            path.append(node)
+            node = node[3]
+        below, (red_table, blue_table) = node[0], node[4]
+        for at in reversed(path):
+            reached, at_red, at_blue = at[:3]
+            runs = tops[below:reached]
+            red_table = fold(runs, at_blue, red_table, red_pats)
+            blue_table = fold(runs, at_red, blue_table, blue_pats)
+            at[4] = red_table, blue_table
+            below = reached
+        key_set = (red | blue) >> key_base & key_mask
+        key_red = red >> key_base & key_mask
+        barred = 0  # block colourings that contradict a forced block vertex
+        for b in bit_indices((red | blue) >> shift):
+            barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
+        base = red & head
+        # A red entry applies to the keys that contain its key members,
+        # a blue one to the keys that miss them all.  Keys are tested
+        # entry by entry, stopping at a full mono mask, until one is
+        # proper (a decision ends there); the keys after it read subset
+        # ORs of the tables.
+        groups = [(g, g, p) for g, p in red_table.items()]
+        groups += [(g, 0, p) for g, p in blue_table.items()]
+        reds: list[int] = []
+        blues: list[int] = []
+        for key in keys:
+            if key & key_set != key_red:
                 continue
-            while len(nodes) <= len(stack):  # build the missing nodes down to this leaf
-                below, red_table, blue_table = nodes[-1] if nodes else (0, {}, {})
-                if len(nodes) < len(stack):
-                    reached, _, _, at_red, at_blue = stack[len(nodes)]
-                else:
-                    reached, at_red, at_blue = key_base, red, blue
-                if reached == below + 1:
-                    sides = tops[below]
-                else:
-                    sides = [side for u in range(below, reached) for side in tops[u]]
-                red_table = fold(sides, at_blue, red_table, red_pats)
-                blue_table = fold(sides, at_red, blue_table, blue_pats)
-                nodes.append((reached, red_table, blue_table))
-            red_table, blue_table = nodes[-1][1:]
-            key_set = (red | blue) >> key_base & key_mask
-            key_red = red >> key_base & key_mask
-            barred = 0  # block colourings that contradict a forced block vertex
-            for b in bit_indices((red | blue) >> shift):
-                barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
-            base = red & head
-            # A red entry applies to the keys that contain its key members,
-            # a blue one to the keys that miss them all.  Keys are tested
-            # entry by entry, stopping at a full mono mask, until one is
-            # proper (a decision ends there); the keys after it read subset
-            # ORs of the tables.
-            groups = [(g, g, p) for g, p in red_table.items()]
-            groups += [(g, 0, p) for g, p in blue_table.items()]
-            reds: list[int] = []
-            blues: list[int] = []
-            for key in keys:
-                if key & key_set != key_red:
-                    continue
-                if reds:
-                    mono = barred | reds[key] | blues[key_mask ^ key]
-                    if mono != full:
-                        yield base | key << key_base, full ^ mono
-                    continue
-                mono = barred
-                for group_key, want, pattern in groups:
-                    if group_key & key == want:
-                        mono |= pattern
-                        if mono == full:
-                            break
-                else:
+            if reds:
+                mono = barred | reds[key] | blues[key_mask ^ key]
+                if mono != full:
                     yield base | key << key_base, full ^ mono
-                    reds = _subset_or(red_table, pairs, 1 << k)
-                    blues = _subset_or(blue_table, pairs, 1 << k)
-            del groups, reds, blues  # free them before the next leaf's tables are built
-        while stack and stack[-1][1]:
-            stack.pop()
-        if not stack:
-            return
-        del nodes[len(stack) :]  # free the finished subtree's tables
-        frame = stack[-1]
-        undo(frame[2])
-        frame[1] = 1
-        ok = paint([(frame[0], True)])
+                continue
+            mono = barred
+            for group_key, want, pattern in groups:
+                if group_key & key == want:
+                    mono |= pattern
+                    if mono == full:
+                        break
+            else:
+                yield base | key << key_base, full ^ mono
+                reds = _subset_or(red_table, pairs, 1 << k)
+                blues = _subset_or(blue_table, pairs, 1 << k)
+        del groups, reds, blues  # free them before the next leaf's tables are built
 
 
 def _or_by_key(

@@ -114,9 +114,9 @@ class Hypergraph:
     Edges are bitmasks held in canonical order: ascending size, then
     lexicographic by sorted member list.  Duplicates collapse, so structural
     equality is hypergraph equality and serialization is deterministic.
-    Masks may arrive in any order; masks already strictly increasing in
-    canonical order (a parsed canonical document, sampled edges joined with
-    larger blocking edges) are kept without sorting.
+    Masks may arrive in any order, from any iterable; masks already strictly
+    increasing in canonical order (a parsed canonical document, sampled edges
+    joined with larger blocking edges) are kept without sorting.
     """
 
     v: int
@@ -126,11 +126,12 @@ class Hypergraph:
         v = self.v
         if v < 0:
             raise ValueError("vertex count must be nonnegative")
+        masks = tuple(self.edge_masks)  # an iterator is read once, here
         # Two masks of one size are in canonical order when the lowest
         # vertex in exactly one of them is in the first.
         ordered = True
         prev = prev_size = 0
-        for mask in self.edge_masks:
+        for mask in masks:
             if mask <= 0 or mask.bit_length() > v:
                 raise ValueError("edge mask out of range for vertex count")
             size = mask.bit_count()
@@ -144,11 +145,11 @@ class Hypergraph:
                 ordered = prev & diff & -diff
             prev = mask
         if ordered:
-            object.__setattr__(self, "edge_masks", tuple(self.edge_masks))
+            object.__setattr__(self, "edge_masks", masks)
             return
-        width = (max(self.edge_masks).bit_length() + 7) // 8
+        width = (max(masks).bit_length() + 7) // 8
         canon = sorted(
-            set(self.edge_masks),
+            set(masks),
             key=lambda m: (m.bit_count(), m.to_bytes(width, "little").translate(_LEX)),
         )
         object.__setattr__(self, "edge_masks", tuple(canon))

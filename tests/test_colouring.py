@@ -192,11 +192,13 @@ SPLIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block_bits,key_bits", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "block_bits,key_bits", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 1), (0, 0)]
+)
 def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
     """Tiny blocks and tables force many blocks, many passes and split edges;
-    (2, 1) leaves up to 8 branch vertices, and 2- and 3-edges force vertices
-    down the branch tree."""
+    (2, 1) leaves up to 8 branch vertices and (0, 0) up to 11, and 2- and
+    3-edges force vertices down the branch tree."""
     monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
     rng = random.Random(31)
@@ -246,7 +248,7 @@ def test_decision_agrees_with_enumeration():
 
 @pytest.mark.parametrize(
     "block_bits,key_bits",
-    [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 1), (2, 2), (2, 3), (3, 3)],
+    [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 1), (2, 2), (2, 3), (3, 3), (1, 1), (0, 0)],
 )
 def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
     """Tiny sizes put vertices in the branch, key and block stages at once;
@@ -290,6 +292,8 @@ PAST_LIMIT_CASES = [
     (make_hypergraph(41, [{i, (i + 1) % 41} for i in range(41)]), None),
     # the 16-vertex example on vertices 14..29, behind 14 isolated vertices
     (Hypergraph(30, tuple(m << 14 for m in paper_example().edge_masks)), None),
+    # one 2-edge at the top: the first leaf lies below 4073 free branch vertices
+    (Hypergraph(4096, (3 << 4094,)), [4095]),
 ]
 
 

@@ -241,6 +241,12 @@ def test_canonical_order_is_by_lowest_differing_vertex():
         assert Hypergraph(4, pair + pair[:1]).edge_masks == pair
 
 
+def test_edges_may_arrive_as_an_iterator():
+    # Validation must not use up the masks it is meant to keep, in order or not.
+    for masks in [(0b011, 0b101), (0b101, 0b011)]:
+        assert Hypergraph(3, iter(masks)) == Hypergraph(3, (0b011, 0b101))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_union_of_equal_size_edges_matches_the_sort(n):
     # At n = 3 and 4 sampled and blocking edges share a size, so the two
