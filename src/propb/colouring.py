@@ -10,14 +10,23 @@ order:
   edge whose coloured members share a colour with one member left forces
   that member to the other colour.  The search is one worklist of pending
   branches (node, vertex, colour), blue on top; each node keeps its own
-  painted vertices and a parent link, so nothing is ever undone.
+  painted vertices and a parent link, so nothing is ever undone.  A red
+  branch is skipped when its blue twin yielded nothing and every edge on
+  its vertex already has both colours.
 - key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
 - block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
   colourings held as one big-int bit pattern.
 
 An edge's red side is monochromatic on the block colourings where its block
-members are all red: the AND of their colour patterns.  Red sides are ORed
-into a red table keyed by their key members, blue sides into a blue table.
+members are all red: those that contain its block-member mask S.  Red sides
+are ORed into a red table keyed by their key members, blue sides into a
+blue table.  A key group of at least t sides is closed in one go: a bitset
+with bit S set per side, then t rounds that each add block bit b to every
+colouring in it that lacks b.  A blue side is monochromatic on the subsets
+of the complement of S, so blue groups close downwards from those.  Smaller
+groups AND the colour patterns of each side's block members, sharing AND
+prefixes between neighbouring sides.
+
 The tables are built down the branch tree.  A node starts from its parent's
 tables and folds in the sides whose branch members now all lie below its
 lowest free branch vertex, unless one of them has the other colour.  A leaf
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from propb._bits import (
@@ -60,10 +70,11 @@ _BLOCK_BITS = 16
 # branch node, less the patterns a node shares with its parent.
 _KEY_BITS = 6
 
-# An edge as the census folds it: (block members as block bits, key members
-# as key bits, the edge mask).  Its red side is monochromatic on the block
-# colourings where the block members are all red, its blue side likewise.
-Side = tuple[tuple[int, ...], int, int]
+# An edge as the census folds it: (S, key, mask), where S holds its block
+# members as block bits and key its key members as key bits.  Its red side
+# is monochromatic on the block colourings that contain S, its blue side on
+# those inside the complement of S.
+Side = tuple[int, int, int]
 
 
 def enumeration_limit() -> int:
@@ -211,14 +222,12 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     key_mask = (1 << k) - 1
     head = (1 << key_base) - 1  # vertex 0 and the branch vertices
     full = scan_ones(t)
-    red_pats = [scan_bit_pattern(b, t) for b in range(t)]
-    blue_pats = [full ^ p for p in red_pats]
+    red_pats, blue_pats = _block_patterns(t)
     # Key bit i is vertex key_base + i; sorting keys by their reversed bit
     # strings puts the lowest key vertex first and blue before red.
     keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
     pairs = [(x, x ^ 1 << i) for i in range(k) for x in range(1 << k) if x >> i & 1]
-    # Sorted by block members, so _or_by_key can share AND prefixes.
-    edges = sorted((mask_members(m >> shift), m >> key_base & key_mask, m) for m in h.edge_masks)
+    edges = [(m >> shift, m >> key_base & key_mask, m) for m in h.edge_masks]
     incident: list[list[int]] = [[] for _ in range(v)]
     if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
         # Painting reaches the branch vertices and, through edges with one
@@ -269,14 +278,29 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         return red, blue
 
     def fold(
-        runs: list[list[Side]], opposite: int, table: dict[int, int], pats: list[int]
+        runs: list[list[Side]], opposite: int, table: dict[int, int], as_red: bool
     ) -> dict[int, int]:
         """OR the sides in `runs` that miss `opposite` into a copy of `table`.
 
         The parent's table is never written: the copy shares its patterns.
+        A key group of at least t sides is closed in t rounds; the rest
+        take the AND chains of _or_by_key, at least one AND per side.
         """
-        live = [side for run in runs for side in run if not side[2] & opposite]
-        return _or_by_key(live, pats, full, dict(table)) if live else table
+        groups: dict[int, list[Side]] = {}
+        for run in runs:
+            for side in run:
+                if not side[2] & opposite:
+                    groups.setdefault(side[1], []).append(side)
+        if not groups:
+            return table
+        table = dict(table)
+        chain: list[Side] = []
+        for key, group in groups.items():
+            if len(group) < t:
+                chain += group
+            else:
+                table[key] = table.get(key, 0) | _close([low for low, _, _ in group], t, as_red)
+        return _or_by_key(sorted(chain), red_pats if as_red else blue_pats, full, table)
 
     # tops[u] lists, in `edges` order, the sides whose highest member below
     # key_base is u (0 when there is none).  At a node whose lowest free
@@ -297,11 +321,31 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     # pending branch or child holds them.  A key or block vertex forced later
     # can contradict a folded side; that is harmless, since a key against a
     # forced vertex is skipped and those block colourings start in `barred`.
-    # `work` holds the pending branches (node, vertex, as_red), blue on top;
-    # the root is the empty colouring, whose one branch paints vertex 0 blue.
-    work: list[tuple[list, int, bool]] = [([0, 0, 0, None, ({}, {})], 0, False)]
+    # `work` holds the pending branches (node, vertex, as_red, yielded), blue
+    # on top, with the number of blocks yielded when they were pushed; the
+    # root is the empty colouring, whose one branch paints vertex 0 blue.
+    # A red branch is skipped when its blue twin's subtree yielded nothing
+    # and every edge on its vertex already has a red and a blue member: the
+    # vertex's colour then changes nothing below, so that subtree is empty
+    # too.  Without this, isolated branch vertices above an uncolourable
+    # core would multiply the search by 2 each.
+    yielded = 0
+    edges_on: list[list[int]] = []  # each branch vertex's edges, listed at the first test
+
+    def settled(red: int, blue: int, u: int) -> bool:
+        """True iff every edge on u has a red and a blue member among (red, blue)."""
+        if not edges_on:
+            edges_on.extend([] for _ in range(key_base))
+            for mask in h.edge_masks:
+                for w in bit_indices(mask & branch):
+                    edges_on[w].append(mask)
+        return all(mask & red and mask & blue for mask in edges_on[u])
+
+    work: list[tuple[list, int, bool, int]] = [([0, 0, 0, None, ({}, {})], 0, False, 0)]
     while work:
-        parent, u, as_red = work.pop()
+        parent, u, as_red, pushed = work.pop()
+        if as_red and pushed == yielded and settled(parent[1], parent[2], u):
+            continue
         painted = paint(parent[1], parent[2], u, as_red)
         if painted is None:
             continue
@@ -310,7 +354,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         reached = (free & -free).bit_length() - 1 if free else key_base
         node = [reached, red, blue, parent, None]
         if free:
-            work += [(node, reached, True), (node, reached, False)]
+            work += [(node, reached, True, yielded), (node, reached, False, yielded)]
             continue
         path = []  # this leaf and its ancestors up to the nearest built node
         while node[4] is None:
@@ -320,8 +364,8 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         for at in reversed(path):
             reached, at_red, at_blue = at[:3]
             runs = tops[below:reached]
-            red_table = fold(runs, at_blue, red_table, red_pats)
-            blue_table = fold(runs, at_red, blue_table, blue_pats)
+            red_table = fold(runs, at_blue, red_table, True)
+            blue_table = fold(runs, at_red, blue_table, False)
             at[4] = red_table, blue_table
             below = reached
         key_set = (red | blue) >> key_base & key_mask
@@ -345,6 +389,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             if reds:
                 mono = barred | reds[key] | blues[key_mask ^ key]
                 if mono != full:
+                    yielded += 1
                     yield base | key << key_base, full ^ mono
                 continue
             mono = barred
@@ -354,6 +399,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
                     if mono == full:
                         break
             else:
+                yielded += 1
                 yield base | key << key_base, full ^ mono
                 reds = _subset_or(red_table, pairs, 1 << k)
                 blues = _subset_or(blue_table, pairs, 1 << k)
@@ -361,30 +407,64 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
 
 
 def _or_by_key(
-    sides: Iterable[Side], pats: list[int], full: int, table: dict[int, int]
+    sides: Iterable[Side], pats: Sequence[int], full: int, table: dict[int, int]
 ) -> dict[int, int]:
     """OR each side's pattern (the AND of pats over its low bits) into table by key.
 
-    Sides come sorted by low bits, so neighbours share a prefix of them;
-    `ands[i]` keeps the AND over the previous side's first i bits, and
-    only the bits past the shared prefix cost a big AND.
+    Each side ANDs its bits from the highest down.  Sides come sorted by
+    their low bits as ints, so neighbours share their highest bits;
+    `ands[i]` keeps the AND over the previous side's top i bits, and only
+    the bits below the shared ones cost a big AND.
     """
-    prev: tuple[int, ...] = ()
+    prev = 1 << len(pats)  # above every block bit: the first side shares nothing
     ands = [full]
     for low, key, _ in sides:
-        shared = 0
-        for a, b in zip(prev, low):
-            if a != b:
-                break
-            shared += 1
+        top = (low ^ prev).bit_length()  # low and prev agree from bit `top` up
+        shared = (low >> top).bit_count()
         del ands[shared + 1 :]
         pattern = ands[shared]
-        for b in low[shared:]:
+        rest = low & ((1 << top) - 1)
+        while rest:
+            b = rest.bit_length() - 1
             pattern &= pats[b]
             ands.append(pattern)
+            rest ^= 1 << b
         prev = low
         table[key] = table.get(key, 0) | pattern
     return table
+
+
+def _close(lows: list[int], t: int, as_red: bool) -> int:
+    """The OR of one key group's red (or blue) side patterns over a block of 2**t.
+
+    A red side with block members `low` is monochromatic on the block
+    colourings that contain `low`, so the OR is the up-closure of the set
+    {low}: seeded as one bit per side and closed in t rounds, each one
+    adding bit b to every colouring that lacks it.  A blue side is
+    monochromatic on the colourings inside the complement of `low`: the
+    down-closure of those complements.
+    """
+    data = bytearray(max(1 << t >> 3, 1))
+    flip = 0 if as_red else (1 << t) - 1
+    for low in lows:
+        j = low ^ flip
+        data[j >> 3] |= 1 << (j & 7)
+    f = int.from_bytes(data, "little")
+    red_pats, blue_pats = _block_patterns(t)
+    if as_red:
+        for b, pattern in enumerate(blue_pats):
+            f |= (f & pattern) << (1 << b)
+    else:
+        for b, pattern in enumerate(red_pats):
+            f |= (f & pattern) >> (1 << b)
+    return f
+
+
+@lru_cache(maxsize=None)
+def _block_patterns(t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per block bit b < t, the block colourings with b red, then with b blue."""
+    red = tuple(scan_bit_pattern(b, t) for b in range(t))
+    return red, tuple(scan_ones(t) ^ p for p in red)
 
 
 def _subset_or(table: dict[int, int], pairs: list[tuple[int, int]], size: int) -> list[int]:

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from propb import colouring
-from propb._bits import mask_of
+from propb._bits import mask_of, scan_bit_pattern, scan_ones
 from propb.alteration import AlterationParams, derive_seed, sample_uniform_edges
 from propb import (
     Colouring,
@@ -164,6 +164,27 @@ def test_enumeration_limit_refusal(monkeypatch):
     assert enumerate_proper(fano()).total_proper == 0
 
 
+def planted_dense(seed):
+    """12 vertices, 40-60 edges of size 2-4, proper under a hidden colouring.
+
+    Members lean to the top vertices, so at the tiny kernel sizes many
+    sides share a key group: groups reach the closure threshold at the
+    root and at deeper branch nodes.
+    """
+    rng = random.Random(seed)
+    m = rng.randint(40, 60)
+    red = rng.getrandbits(12)
+    edges = set()
+    while len(edges) < m:
+        size = rng.choice((2, 3, 4))
+        edge = set()
+        while len(edge) < size:
+            edge.add(11 - min(int(rng.expovariate(0.3)), 11))
+        if 0 < sum(red >> u & 1 for u in edge) < size:
+            edges.add(frozenset(edge))
+    return make_hypergraph(12, edges)
+
+
 # With 2 (or 3) block bits, vertices 0-2 (or 0-3) are low and the rest high.
 SPLIT_CASES = [
     make_hypergraph(2, [{0, 1}]),
@@ -187,6 +208,10 @@ SPLIT_CASES = [
         [{1, 2, 9}, {2, 3, 10}, {3, 4, 11}, {4, 5, 9}, {5, 6, 10}, {6, 7, 11}, {7, 8, 9},
          {1, 8, 10}, {2, 11}],
     ),
+    # dense key groups, closed in one pass each
+    planted_dense(1),
+    planted_dense(4),
+    planted_dense(5),
     # dense: one 2-edge, so half of all colourings are proper
     make_hypergraph(12, [{3, 10}]),
 ]
@@ -201,6 +226,9 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
     3-edges force vertices down the branch tree."""
     monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
+    closed = []
+    close = colouring._close
+    monkeypatch.setattr(colouring, "_close", lambda *args: closed.append(args) or close(*args))
     rng = random.Random(31)
     randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(12)]
     randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(12)]
@@ -211,6 +239,29 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
         assert report.balanced_count == balanced
         assert list(report.red_masks) == reds
     assert enumerate_proper(SPLIT_CASES[-1]).total_proper == 1 << 11
+    # With no block bit every vertex is painted by the branch search, so no
+    # side is ever live; otherwise some key group is closed.
+    assert bool(closed) == (block_bits > 0)
+
+
+@pytest.mark.parametrize("t", range(17))
+def test_group_closure_matches_and_chains(t):
+    """A key group's closure equals the OR of its sides' AND chains, in both
+    colours, at every block width up to the kernel's."""
+    rng = random.Random(t)
+    top = (1 << t) - 1
+    full = scan_ones(t)
+    red_pats = [scan_bit_pattern(b, t) for b in range(t)]
+    blue_pats = [full ^ p for p in red_pats]
+    few = [mask_of(rng.sample(range(t), rng.randint(1, min(2, t)))) for _ in range(t)]
+    many = [rng.getrandbits(t) for _ in range(t + 3)]
+    # 0 has no block member, so its side's pattern is the whole block
+    groups = [[0], [top], [top, 0], few + [top], many, many + few]
+    for lows in groups:
+        sides = sorted((low, 5, 0) for low in lows)
+        for as_red, pats in ((True, red_pats), (False, blue_pats)):
+            expected = colouring._or_by_key(sides, pats, full, {})
+            assert {5: colouring._close(lows, t, as_red)} == expected
 
 
 def test_n8_census_is_pinned(monkeypatch):
@@ -294,6 +345,10 @@ PAST_LIMIT_CASES = [
     (Hypergraph(30, tuple(m << 14 for m in paper_example().edge_masks)), None),
     # one 2-edge at the top: the first leaf lies below 4073 free branch vertices
     (Hypergraph(4096, (3 << 4094,)), [4095]),
+    # uncolourable cores behind 4073 and 41 isolated branch vertices: each
+    # red branch is skipped once its blue twin has yielded nothing
+    (Hypergraph(4096, tuple(m << 4080 for m in paper_example().edge_masks)), None),
+    (Hypergraph(64, tuple(m << 61 for m in triangle().edge_masks)), None),
 ]
 
 
