@@ -31,10 +31,10 @@ The tables are built down the branch tree.  A node starts from its parent's
 tables and folds in the sides whose branch members now all lie below its
 lowest free branch vertex, unless one of them has the other colour.  A leaf
 builds the missing tables from its nearest built ancestor down and reads
-its own as they stand.  A key takes a red entry when the entry's key
-vertices are all red in it and a blue entry when they are all blue.
-Keys that contradict a vertex that propagation forced are skipped, and
-block colourings that do so start out monochromatic.
+every key from subset ORs: the red table's over the subsets of the key,
+the blue table's over the subsets of its complement.  Keys that contradict
+a vertex that propagation forced are skipped, and block colourings that
+do so start out monochromatic.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` sums every proper block and can list its
@@ -374,36 +374,17 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         for b in bit_indices((red | blue) >> shift):
             barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
         base = red & head
-        # A red entry applies to the keys that contain its key members,
-        # a blue one to the keys that miss them all.  Keys are tested
-        # entry by entry, stopping at a full mono mask, until one is
-        # proper (a decision ends there); the keys after it read subset
-        # ORs of the tables.
-        groups = [(g, g, p) for g, p in red_table.items()]
-        groups += [(g, 0, p) for g, p in blue_table.items()]
-        reds: list[int] = []
-        blues: list[int] = []
+        # A red entry applies to the keys that contain its key members, a
+        # blue one to the keys whose complements do.
+        reds = _subset_or(red_table, pairs, 1 << k)
+        blues = _subset_or(blue_table, pairs, 1 << k)
         for key in keys:
-            if key & key_set != key_red:
-                continue
-            if reds:
+            if key & key_set == key_red:
                 mono = barred | reds[key] | blues[key_mask ^ key]
                 if mono != full:
                     yielded += 1
                     yield base | key << key_base, full ^ mono
-                continue
-            mono = barred
-            for group_key, want, pattern in groups:
-                if group_key & key == want:
-                    mono |= pattern
-                    if mono == full:
-                        break
-            else:
-                yielded += 1
-                yield base | key << key_base, full ^ mono
-                reds = _subset_or(red_table, pairs, 1 << k)
-                blues = _subset_or(blue_table, pairs, 1 << k)
-        del groups, reds, blues  # free them before the next leaf's tables are built
+        del reds, blues  # free them before the next leaf's tables are built
 
 
 def _or_by_key(

@@ -3,13 +3,14 @@ against a scan of all colourings, decision witnesses against a scan in lex
 order, at the real stage sizes and at tiny ones."""
 
 import hashlib
+import math
 import random
 import time
 
 import pytest
 
 from propb import colouring
-from propb._bits import mask_of, scan_bit_pattern, scan_ones
+from propb._bits import bit_indices, mask_of, scan_bit_pattern, scan_ones
 from propb.alteration import AlterationParams, derive_seed, sample_uniform_edges
 from propb import (
     Colouring,
@@ -312,6 +313,75 @@ def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
     for h in SPLIT_CASES + randoms:
         red = lex_first_oracle(h)
         expected = (False, None) if red is None else (True, Colouring(h.v, red))
+        assert is_two_colourable(h) == expected
+
+
+def scattered_components(seed):
+    """19-26 vertices at the kernel's own sizes: small random components on
+    scattered vertex sets, the rest isolated.
+
+    Returns (h, parts, isolated): each part is a component on its own
+    vertices 0..c-1 with the sorted global vertices they stand for.  From
+    24 vertices on there are branch vertices, and a 2-edge star from a
+    vertex below the keys makes propagation force a key and a block vertex.
+    Both star edges then leave the tables, so only the key skip and the
+    barred block colourings rule out the forced vertices' other colour.
+    """
+    rng = random.Random(seed)
+    v = 19 + seed % 8
+    shift = v - colouring._BLOCK_BITS
+    key_base = max(shift - colouring._KEY_BITS, 1)
+    order = rng.sample(range(v), v)
+    groups = []
+    if key_base > 1:
+        star = [rng.randrange(key_base), rng.randrange(key_base, shift), rng.randrange(shift, v)]
+        order = [u for u in order if u not in star]
+        groups.append((star, [[star[0], star[1]], [star[0], star[2]]]))
+    if seed % 3 == 0:  # an uncolourable part
+        core = fano() if seed % 2 else triangle()
+        members, order = order[: core.v], order[core.v :]
+        groups.append((members, [[members[u] for u in e] for e in core.edges]))
+    while len(order) > 4:  # what is left at the end stays isolated
+        size = rng.randint(2, min(10, len(order)))
+        members, order = order[:size], order[size:]
+        sizes = [rng.randint(2, min(4, size)) for _ in range(rng.randint(1, size))]
+        edges = [rng.sample(members, k) for k in sizes]
+        groups.append((members, edges))
+    parts = []
+    for members, edges in groups:
+        members = sorted(members)
+        local = make_hypergraph(len(members), [[members.index(u) for u in e] for e in edges])
+        parts.append((local, members))
+    edges = [[members[u] for u in e] for local, members in parts for e in local.edges]
+    return make_hypergraph(v, edges), parts, len(order)
+
+
+def test_scattered_components_match_their_oracles():
+    """A union of disjoint parts has the product of their censuses: the total
+    multiplies, the red counts convolve, and the lex-first witness is the
+    union of the parts' own (vertex order within a part is kept)."""
+    for seed in range(64):
+        h, parts, isolated = scattered_components(seed)
+        total = 2**isolated
+        reds_by_count = [math.comb(isolated, r) for r in range(isolated + 1)]
+        witness = 0
+        for local, members in parts:
+            part_total, _, reds = census_oracle(local)
+            total *= part_total
+            convolved = [0] * (len(reds_by_count) + local.v)
+            for r in reds:
+                for i, n in enumerate(reds_by_count):
+                    convolved[i + r.bit_count()] += n
+            reds_by_count = convolved
+            red = lex_first_oracle(local)
+            if red is None or witness is None:
+                witness = None
+            else:
+                witness |= mask_of(members[u] for u in bit_indices(red))
+        balanced = reds_by_count[h.v // 2] if h.v % 2 == 0 else 0
+        report = enumerate_proper(h)
+        assert (report.total_proper, report.balanced_count) == (total, balanced)
+        expected = (False, None) if witness is None else (True, Colouring(h.v, witness))
         assert is_two_colourable(h) == expected
 
 
