@@ -29,12 +29,12 @@ prefixes between neighbouring sides.
 
 The tables are built down the branch tree.  A node starts from its parent's
 tables and folds in the sides whose branch members now all lie below its
-lowest free branch vertex, unless one of them has the other colour.  A leaf
-builds the missing tables from its nearest built ancestor down and reads
-every key from subset ORs: the red table's over the subsets of the key,
-the blue table's over the subsets of its complement.  Keys that contradict
-a vertex that propagation forced are skipped, and block colourings that
-do so start out monochromatic.
+lowest free branch vertex, one test per set of branch members, unless they
+include one of the other colour.  A leaf builds the missing tables from its
+nearest built ancestor down and reads every key from subset ORs: the red
+table's over the subsets of the key, the blue table's over the subsets of
+its complement.  The tables alone rule out colourings that contradict a
+vertex that propagation forced, since the edge that forced it is in them.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` sums every proper block and can list its
@@ -70,11 +70,11 @@ _BLOCK_BITS = 16
 # branch node, less the patterns a node shares with its parent.
 _KEY_BITS = 6
 
-# An edge as the census folds it: (S, key, mask), where S holds its block
-# members as block bits and key its key members as key bits.  Its red side
-# is monochromatic on the block colourings that contain S, its blue side on
+# An edge as the census folds it: (S, key), where S holds its block members
+# as block bits and key its key members as key bits.  Its red side is
+# monochromatic on the block colourings that contain S, its blue side on
 # those inside the complement of S.
-Side = tuple[int, int, int]
+Side = tuple[int, int]
 
 
 def enumeration_limit() -> int:
@@ -227,7 +227,6 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     # strings puts the lowest key vertex first and blue before red.
     keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
     pairs = [(x, x ^ 1 << i) for i in range(k) for x in range(1 << k) if x >> i & 1]
-    edges = [(m >> shift, m >> key_base & key_mask, m) for m in h.edge_masks]
     incident: list[list[int]] = [[] for _ in range(v)]
     if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
         # Painting reaches the branch vertices and, through edges with one
@@ -278,9 +277,9 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         return red, blue
 
     def fold(
-        runs: list[list[Side]], opposite: int, table: dict[int, int], as_red: bool
+        runs: list[dict[int, list[Side]]], opposite: int, table: dict[int, int], as_red: bool
     ) -> dict[int, int]:
-        """OR the sides in `runs` that miss `opposite` into a copy of `table`.
+        """OR the buckets in `runs` whose branch members miss `opposite` into a copy of `table`.
 
         The parent's table is never written: the copy shares its patterns.
         A key group of at least t sides is closed in t rounds; the rest
@@ -288,9 +287,10 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         """
         groups: dict[int, list[Side]] = {}
         for run in runs:
-            for side in run:
-                if not side[2] & opposite:
-                    groups.setdefault(side[1], []).append(side)
+            for members in run:
+                if not members & opposite:
+                    for side in run[members]:
+                        groups.setdefault(side[1], []).append(side)
         if not groups:
             return table
         table = dict(table)
@@ -299,28 +299,30 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             if len(group) < t:
                 chain += group
             else:
-                table[key] = table.get(key, 0) | _close([low for low, _, _ in group], t, as_red)
+                table[key] = table.get(key, 0) | _close([low for low, _ in group], t, as_red)
         return _or_by_key(sorted(chain), red_pats if as_red else blue_pats, full, table)
 
-    # tops[u] lists, in `edges` order, the sides whose highest member below
-    # key_base is u (0 when there is none).  At a node whose lowest free
-    # branch vertex is u, every vertex below u is painted, so the sides in
-    # tops[:u] can be tested against the painted vertices and folded in.
-    tops = [edges]
-    if key_base > 1:
-        tops = [[] for _ in range(key_base)]
-        for side in edges:
-            tops[(side[2] & head | 1).bit_length() - 1].append(side)
+    # tops[u][m & head] lists the sides of the edges m whose highest member
+    # below key_base is u (0 when there is none), bucketed by those members.
+    # At a node whose lowest free branch vertex is u, every vertex below u is
+    # painted, so each bucket in tops[:u] is tested once and folded in.
+    tops: list[dict[int, list[Side]]] = [{} for _ in range(key_base)]
+    for m in h.edge_masks:
+        members = m & head
+        side = (m >> shift, m >> key_base & key_mask)
+        tops[(members | 1).bit_length() - 1].setdefault(members, []).append(side)
     branch = head - 1  # vertices 1 .. key_base - 1
     # A node is [reached, red, blue, parent, tables]: a painted state whose
     # lowest free branch vertex is `reached` (key_base at a leaf) and, once
-    # built, its red and blue tables with the sides in tops[:reached] folded
-    # in: its parent's tables plus the sides whose highest branch member lies
-    # in between.  Nodes are built when a leaf below them is reached, so
-    # subtrees that propagation refutes cost nothing here, and freed when no
-    # pending branch or child holds them.  A key or block vertex forced later
-    # can contradict a folded side; that is harmless, since a key against a
-    # forced vertex is skipped and those block colourings start in `barred`.
+    # built, its red and blue tables with the buckets in tops[:reached]
+    # folded in: its parent's tables plus the buckets whose highest branch
+    # member lies in between.  Nodes are built when a leaf below them is
+    # reached, so subtrees that propagation refutes cost nothing here, and
+    # freed when no pending branch or child holds them.  A leaf's tables
+    # hold every edge whose branch members share one colour, and that alone
+    # rules out the colourings that contradict a vertex propagation forced:
+    # the earliest forced vertex such a colouring gets wrong was forced by
+    # an edge whose other members all agree with it, so it is monochromatic.
     # `work` holds the pending branches (node, vertex, as_red, yielded), blue
     # on top, with the number of blocks yielded when they were pushed; the
     # root is the empty colouring, whose one branch paints vertex 0 blue.
@@ -368,22 +370,15 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             blue_table = fold(runs, at_red, blue_table, False)
             at[4] = red_table, blue_table
             below = reached
-        key_set = (red | blue) >> key_base & key_mask
-        key_red = red >> key_base & key_mask
-        barred = 0  # block colourings that contradict a forced block vertex
-        for b in bit_indices((red | blue) >> shift):
-            barred |= blue_pats[b] if red >> shift + b & 1 else red_pats[b]
-        base = red & head
         # A red entry applies to the keys that contain its key members, a
         # blue one to the keys whose complements do.
         reds = _subset_or(red_table, pairs, 1 << k)
         blues = _subset_or(blue_table, pairs, 1 << k)
         for key in keys:
-            if key & key_set == key_red:
-                mono = barred | reds[key] | blues[key_mask ^ key]
-                if mono != full:
-                    yielded += 1
-                    yield base | key << key_base, full ^ mono
+            mono = reds[key] | blues[key_mask ^ key]
+            if mono != full:
+                yielded += 1
+                yield red & head | key << key_base, full ^ mono
         del reds, blues  # free them before the next leaf's tables are built
 
 
@@ -399,7 +394,7 @@ def _or_by_key(
     """
     prev = 1 << len(pats)  # above every block bit: the first side shares nothing
     ands = [full]
-    for low, key, _ in sides:
+    for low, key in sides:
         top = (low ^ prev).bit_length()  # low and prev agree from bit `top` up
         shared = (low >> top).bit_count()
         del ands[shared + 1 :]

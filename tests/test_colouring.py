@@ -209,6 +209,11 @@ SPLIT_CASES = [
         [{1, 2, 9}, {2, 3, 10}, {3, 4, 11}, {4, 5, 9}, {5, 6, 10}, {6, 7, 11}, {7, 8, 9},
          {1, 8, 10}, {2, 11}],
     ),
+    # At (2, 1) a forced vertex forces another: 1 forces the key 9 and 9
+    # the block vertex 10; with 2 red, the 3-edge {2, 9, 11} has its member
+    # 9 forced red and forces its free member 11.
+    make_hypergraph(12, [{1, 9}, {9, 10}]),
+    make_hypergraph(12, [{1, 9}, {2, 9, 11}]),
     # dense key groups, closed in one pass each
     planted_dense(1),
     planted_dense(4),
@@ -259,7 +264,7 @@ def test_group_closure_matches_and_chains(t):
     # 0 has no block member, so its side's pattern is the whole block
     groups = [[0], [top], [top, 0], few + [top], many, many + few]
     for lows in groups:
-        sides = sorted((low, 5, 0) for low in lows)
+        sides = sorted((low, 5) for low in lows)
         for as_red, pats in ((True, red_pats), (False, blue_pats)):
             expected = colouring._or_by_key(sides, pats, full, {})
             assert {5: colouring._close(lows, t, as_red)} == expected
@@ -323,9 +328,12 @@ def scattered_components(seed):
     Returns (h, parts, isolated): each part is a component on its own
     vertices 0..c-1 with the sorted global vertices they stand for.  From
     24 vertices on there are branch vertices, and a 2-edge star from a
-    vertex below the keys makes propagation force a key and a block vertex.
-    Both star edges then leave the tables, so only the key skip and the
-    barred block colourings rule out the forced vertices' other colour.
+    vertex a below the keys makes propagation force a key vertex k and a
+    block vertex.  Then k forces a block vertex over a 2-edge, and over the
+    3-edge {a2, k, z} the free block vertex z whenever a2, also below the
+    keys, has k's colour.  Each star edge's own side rules out its forced
+    vertex's other colour, and each chain edge's side does once the vertex
+    before it is right.
     """
     rng = random.Random(seed)
     v = 19 + seed % 8
@@ -334,9 +342,11 @@ def scattered_components(seed):
     order = rng.sample(range(v), v)
     groups = []
     if key_base > 1:
-        star = [rng.randrange(key_base), rng.randrange(key_base, shift), rng.randrange(shift, v)]
-        order = [u for u in order if u not in star]
-        groups.append((star, [[star[0], star[1]], [star[0], star[2]]]))
+        a, a2 = rng.sample(range(key_base), 2)
+        k = rng.randrange(key_base, shift)
+        x, y, z = rng.sample(range(shift, v), 3)
+        order = [u for u in order if u not in (a, a2, k, x, y, z)]
+        groups.append(([a, a2, k, x, y, z], [[a, k], [a, x], [k, y], [a2, k, z]]))
     if seed % 3 == 0:  # an uncolourable part
         core = fano() if seed % 2 else triangle()
         members, order = order[: core.v], order[core.v :]
@@ -419,6 +429,18 @@ PAST_LIMIT_CASES = [
     # red branch is skipped once its blue twin has yielded nothing
     (Hypergraph(4096, tuple(m << 4080 for m in paper_example().edge_masks)), None),
     (Hypergraph(64, tuple(m << 61 for m in triangle().edge_masks)), None),
+    # the same core behind vertices 3..12, each on a 3-edge {1, 2, u}: the
+    # 2-edge {1, 2} gives those edges both colours, so u's red branch is
+    # skipped although u is not isolated (one pass each instead of 2**10)
+    (
+        Hypergraph(
+            4096,
+            (0b110,)
+            + tuple(0b110 | 1 << u for u in range(3, 13))
+            + tuple(m << 4080 for m in paper_example().edge_masks),
+        ),
+        None,
+    ),
 ]
 
 
