@@ -274,23 +274,17 @@ def run_alteration(
             f"edge size {n} needs {params.v} vertices, above the enumeration limit ({limit})"
         )
 
-    retries_used = 0
-    h1 = None
-    survivors: tuple[int, ...] = ()
-    for attempt in range(params.max_retries + 1):
-        candidate = sample_uniform_edges(params.v, n, params.m_prime, derive_seed(seed, attempt))
-        report = enumerate_proper(candidate, materialize=True)
-        assert report.red_masks is not None
+    for retries_used in range(params.max_retries + 1):
+        h1 = sample_uniform_edges(params.v, n, params.m_prime, derive_seed(seed, retries_used))
+        report = enumerate_proper(h1, materialize=True)
         if not strict or report.total_proper <= params.survivor_threshold:
-            retries_used = attempt
-            h1 = candidate
-            survivors = report.red_masks
             break
-    if h1 is None:
+    else:
         raise RetriesExhaustedError(
             f"survivor count stayed above {params.survivor_threshold} "
             f"after {params.max_retries} retries (n={n}, seed={seed})"
         )
+    survivors = report.red_masks
 
     v = params.v
     full = (1 << v) - 1

@@ -92,7 +92,7 @@ def is_edge_critical(h: Hypergraph) -> tuple[bool, frozenset[int] | None]:
         rest = Hypergraph(h.v, masks[:i] + masks[i + 1 :])
         colourable, _ = is_two_colourable(rest)
         if not colourable:
-            return False, h.edges[i]
+            return False, frozenset(mask_members(mask))
     return True, None
 
 

@@ -9,10 +9,10 @@ order:
   that painting can reach: a monochromatic edge prunes the branch, and an
   edge whose coloured members share a colour with one member left forces
   that member to the other colour.  The search is one worklist of pending
-  branches (node, vertex, colour), blue on top; each node keeps its own
-  painted vertices and a parent link, so nothing is ever undone.  A red
-  branch is skipped when its blue twin yielded nothing and every edge on
-  its vertex already has both colours.
+  branches (node, colour), blue on top; each node keeps its own painted
+  vertices and tables, so nothing is ever undone.  A red branch is
+  skipped when its blue twin yielded nothing and every edge on its vertex
+  already has both colours.
 - key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
 - block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
   colourings held as one big-int bit pattern.
@@ -27,14 +27,14 @@ of the complement of S, so blue groups close downwards from those.  Smaller
 groups AND the colour patterns of each side's block members, sharing AND
 prefixes between neighbouring sides.
 
-The tables are built down the branch tree.  A node starts from its parent's
-tables and folds in the sides whose branch members now all lie below its
-lowest free branch vertex, one test per set of branch members, unless they
-include one of the other colour.  A leaf builds the missing tables from its
-nearest built ancestor down and reads every key from subset ORs: the red
-table's over the subsets of the key, the blue table's over the subsets of
-its complement.  The tables alone rule out colourings that contradict a
-vertex that propagation forced, since the edge that forced it is in them.
+The tables are built down the branch tree.  As soon as a node is painted, it
+starts from its parent's tables and folds in the sides whose branch members
+now all lie below its lowest free branch vertex, one test per set of branch
+members, unless they include one of the other colour.  A leaf reads every
+key from subset ORs: the red table's over the subsets of the key, the blue
+table's over the subsets of its complement.  The tables alone rule out
+colourings that contradict a vertex that propagation forced, since the edge
+that forced it is in them.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` sums every proper block and can list its
@@ -228,13 +228,13 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
     pairs = [(x, x ^ 1 << i) for i in range(k) for x in range(1 << k) if x >> i & 1]
     incident: list[list[int]] = [[] for _ in range(v)]
+    # Painting reaches the branch vertices and, through edges with one
+    # member outside, whatever those edges force; each pass adds a key or
+    # block vertex, so there are at most k + t + 1 of them.  An edge with
+    # two members outside that closure never becomes unit or monochromatic
+    # while branching, so it gets no incident entries.
+    reach = head
     if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
-        # Painting reaches the branch vertices and, through edges with one
-        # member outside, whatever those edges force; each pass adds a key
-        # or block vertex, so there are at most k + t + 1 of them.  An edge
-        # with two members outside that closure never becomes unit or
-        # monochromatic while branching, so it gets no incident entries.
-        reach = head
         while True:
             grow = 0
             for mask in h.edge_masks:
@@ -250,30 +250,31 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
                     incident[u].append(mask)
 
     def paint(red: int, blue: int, u: int, as_red: bool) -> tuple[int, int] | None:
-        """Paint u onto (red, blue) and propagate: the new (red, blue), or None on a conflict."""
+        """Paint u onto (red, blue) and propagate: the new (red, blue), or None on a conflict.
+
+        Once a vertex is painted, `rest` is each edge on it less its colour
+        class: empty, the edge is monochromatic; one vertex, that vertex is
+        queued for the other colour.  A queued vertex that is already
+        painted has that colour: had it the other one, painting it would
+        have found the edge that queued it monochromatic.
+        """
         queue = [(u, as_red)]
         for u, as_red in queue:  # forced assignments join the queue as it runs
             bit = 1 << u
             if (red | blue) & bit:
-                if bool(red & bit) != as_red:
-                    return None
                 continue
             if as_red:
                 red |= bit
+                mine = red
             else:
                 blue |= bit
+                mine = blue
             for mask in incident[u]:
-                r = mask & red
-                b = mask & blue
-                if r == mask or b == mask:
+                rest = mask & ~mine
+                if not rest:
                     return None
-                rest = mask & ~(red | blue)
-                if rest and rest & (rest - 1) == 0:
-                    # one member left; if the rest share a colour, force the opposite
-                    if b == 0:
-                        queue.append((rest.bit_length() - 1, False))
-                    elif r == 0:
-                        queue.append((rest.bit_length() - 1, True))
+                if not rest & (rest - 1):
+                    queue.append((rest.bit_length() - 1, not as_red))
         return red, blue
 
     def fold(
@@ -312,20 +313,19 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         side = (m >> shift, m >> key_base & key_mask)
         tops[(members | 1).bit_length() - 1].setdefault(members, []).append(side)
     branch = head - 1  # vertices 1 .. key_base - 1
-    # A node is [reached, red, blue, parent, tables]: a painted state whose
-    # lowest free branch vertex is `reached` (key_base at a leaf) and, once
-    # built, its red and blue tables with the buckets in tops[:reached]
-    # folded in: its parent's tables plus the buckets whose highest branch
-    # member lies in between.  Nodes are built when a leaf below them is
-    # reached, so subtrees that propagation refutes cost nothing here, and
-    # freed when no pending branch or child holds them.  A leaf's tables
-    # hold every edge whose branch members share one colour, and that alone
-    # rules out the colourings that contradict a vertex propagation forced:
-    # the earliest forced vertex such a colouring gets wrong was forced by
-    # an edge whose other members all agree with it, so it is monochromatic.
-    # `work` holds the pending branches (node, vertex, as_red, yielded), blue
-    # on top, with the number of blocks yielded when they were pushed; the
-    # root is the empty colouring, whose one branch paints vertex 0 blue.
+    # A node is (reached, red, blue, red_table, blue_table): a painted state
+    # whose lowest free branch vertex is `reached` (key_base at a leaf), and
+    # its tables with the buckets in tops[:reached] folded in: its parent's
+    # tables plus the buckets whose highest branch member lies in between,
+    # folded as soon as it is painted.  A leaf's tables hold every edge
+    # whose branch members share one colour, and that alone rules out the
+    # colourings that contradict a vertex propagation forced: the earliest
+    # forced vertex such a colouring gets wrong was forced by an edge whose
+    # other members all agree with it, so it is monochromatic.
+    # `work` holds the pending branches (node, as_red, yielded), each one
+    # painting the node's vertex `reached`, blue on top, with the number of
+    # blocks yielded when they were pushed; the root is the empty
+    # colouring, whose one branch paints vertex 0 blue.
     # A red branch is skipped when its blue twin's subtree yielded nothing
     # and every edge on its vertex already has a red and a blue member: the
     # vertex's colour then changes nothing below, so that subtree is empty
@@ -338,38 +338,31 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         """True iff every edge on u has a red and a blue member among (red, blue)."""
         if not edges_on:
             edges_on.extend([] for _ in range(key_base))
-            for mask in h.edge_masks:
+            # Painted vertices lie in reach, so each edge is filed as its
+            # part in reach, and edges that agree there are filed once.
+            for mask in {mask & reach for mask in h.edge_masks}:
                 for w in bit_indices(mask & branch):
                     edges_on[w].append(mask)
         return all(mask & red and mask & blue for mask in edges_on[u])
 
-    work: list[tuple[list, int, bool, int]] = [([0, 0, 0, None, ({}, {})], 0, False, 0)]
+    work: list[tuple[tuple, bool, int]] = [((0, 0, 0, {}, {}), False, 0)]
     while work:
-        parent, u, as_red, pushed = work.pop()
-        if as_red and pushed == yielded and settled(parent[1], parent[2], u):
+        (u, red, blue, red_table, blue_table), as_red, pushed = work.pop()
+        if as_red and pushed == yielded and settled(red, blue, u):
             continue
-        painted = paint(parent[1], parent[2], u, as_red)
+        painted = paint(red, blue, u, as_red)
         if painted is None:
             continue
         red, blue = painted
         free = branch & ~(red | blue)
         reached = (free & -free).bit_length() - 1 if free else key_base
-        node = [reached, red, blue, parent, None]
+        runs = tops[u:reached]
+        red_table = fold(runs, blue, red_table, True)
+        blue_table = fold(runs, red, blue_table, False)
         if free:
-            work += [(node, reached, True, yielded), (node, reached, False, yielded)]
+            node = (reached, red, blue, red_table, blue_table)
+            work += [(node, True, yielded), (node, False, yielded)]
             continue
-        path = []  # this leaf and its ancestors up to the nearest built node
-        while node[4] is None:
-            path.append(node)
-            node = node[3]
-        below, (red_table, blue_table) = node[0], node[4]
-        for at in reversed(path):
-            reached, at_red, at_blue = at[:3]
-            runs = tops[below:reached]
-            red_table = fold(runs, at_blue, red_table, True)
-            blue_table = fold(runs, at_red, blue_table, False)
-            at[4] = red_table, blue_table
-            below = reached
         # A red entry applies to the keys that contain its key members, a
         # blue one to the keys whose complements do.
         reds = _subset_or(red_table, pairs, 1 << k)

@@ -148,6 +148,9 @@ def paper_inputs(case):
         return {"h8": Hypergraph(16, h8.edge_masks[:-1])}
     if case == "h4-minus-last":
         return {"h4": Hypergraph(16, plane.edge_masks[:-1]), "h8": h8}
+    if case == "matching":
+        # three disjoint 2-edges: their blue sets are no 3-design
+        return {"h4": make_hypergraph(6, [{0, 1}, {2, 3}, {4, 5}])}
     assert case == "empty"
     return {"h4": Hypergraph(0, ()), "h8": Hypergraph(0, ())}
 
@@ -213,6 +216,21 @@ PINNED_CHECKS = {
             (*WEIGHT, "0/2^0", False),
             (*WEIGHT_BRACKET, "q = 0/2^0", False),
             (*BLUE_DESIGN, "error: t exceeds the block size", False),
+        ],
+    ),
+    "matching": (
+        "5/2^2",
+        [
+            (*PLANE_SHAPE, "6 vertices, 3 edges of size [2]", False),
+            (*PROPER_COUNT, "8", False),
+            (*BALANCE, "all balanced", True),
+            (*OPPOSITE_PAIRS, "4", False),
+            (*BLOCKING_SHAPE, "4 edges of size [3]", False),
+            (*UNION_EDGES, "7", False),
+            (*UNCOLOURABLE, "not 2-colourable", True),
+            (*WEIGHT, "5/2^2", False),
+            (*WEIGHT_BRACKET, "q = 5/2^2", False),
+            (*BLUE_DESIGN, "not a design (counterexample [0, 2, 4])", False),
         ],
     ),
 }

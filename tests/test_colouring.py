@@ -214,6 +214,13 @@ SPLIT_CASES = [
     # 9 forced red and forces its free member 11.
     make_hypergraph(12, [{1, 9}, {9, 10}]),
     make_hypergraph(12, [{1, 9}, {2, 9, 11}]),
+    # The three events of propagation at (2, 1), with vertex 0 blue: one
+    # wave queues 6 blue twice; one queues 5 red and then blue, and painting
+    # it red leaves {1, 5} monochromatic; the one member of {0, 5} outside
+    # red, 0, is queued blue though it is already painted.
+    make_hypergraph(12, [{0, 1}, {0, 5}, {1, 6}, {5, 6}]),
+    make_hypergraph(12, [{0, 1}, {0, 5}, {1, 5}]),
+    make_hypergraph(12, [{0, 5}, {0, 1, 5}]),
     # dense key groups, closed in one pass each
     planted_dense(1),
     planted_dense(4),
