@@ -8,8 +8,6 @@ from typing import Iterable
 
 # _BYTE_BITS[b] lists the set-bit positions of the byte value b, ascending.
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-# Byte translation table: 0 stays 0, every other byte value becomes 1.
-_NONZERO = bytes([0] + [1] * 255)
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -39,28 +37,23 @@ def bit_indices(x: int) -> list[int]:
     return out
 
 
-def sparse_bit_indices(x: int) -> list[int]:
-    """Set-bit positions of x, ascending, at a cost that follows the set bits.
+def sparse_bit_indices(x: int, count: int) -> list[int]:
+    """Set-bit positions of x, ascending, given its popcount `count`.
 
     `bit_indices` makes one index object per byte of x, which dominates for
-    a census block with a few proper colourings among 2**16.  Here the
-    nonzero bytes are marked in one `translate` and reached with `find`.
-    With one set bit per 128 or more, x goes to `bit_indices`, which is
-    faster on dense input.
+    a census block with a few proper colourings among 2**16.  Below one set
+    bit per 128, the top bit is read with `bit_length` and cleared, so each
+    step costs the length of what is left.  Denser x goes to `bit_indices`.
     """
-    width = x.bit_length()
-    if x.bit_count() << 7 >= width:
+    if count << 7 >= x.bit_length():
         return bit_indices(x)
-    data = x.to_bytes((width + 7) // 8, "little")
-    flags = data.translate(_NONZERO)
     out: list[int] = []
     append = out.append
-    i = flags.find(1)
-    while i >= 0:
-        base = i << 3
-        for j in _BYTE_BITS[data[i]]:
-            append(base + j)
-        i = flags.find(1, i + 1)
+    while x:
+        b = x.bit_length() - 1
+        append(b)
+        x ^= 1 << b
+    out.reverse()
     return out
 
 

@@ -126,8 +126,11 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
     """m independent uniform n-subsets of {0..v-1}; duplicates collapse.
 
     Each draw is a partial Fisher-Yates shuffle of the vertex pool, so every
-    n-subset is equally likely, and the whole hypergraph is a deterministic
-    function of the seed.
+    n-subset is equally likely.  Position i swaps with i + r, where r is
+    `getrandbits(k)` for the bit length k of the span v - i, redrawn while
+    r >= v - i.  That is how `Random.randrange(i, v)` draws on CPython
+    3.10-3.13, without its call overhead, so the hypergraph depends on the
+    seed only through `random.Random(seed).getrandbits`.
     """
     if n < 2:
         raise ValueError("edge size must be at least 2")
@@ -135,12 +138,16 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
         raise ValueError("fewer vertices than the edge size")
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    spans = [(i, v - i, (v - i).bit_length()) for i in range(n)]
     pool = [1 << u for u in range(v)]
     masks = []
     for _ in range(m):
-        for i in range(n):
-            j = rng.randrange(i, v)
+        for i, span, k in spans:
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            j = i + r
             pool[i], pool[j] = pool[j], pool[i]
         masks.append(sum(pool[:n]))
     return Hypergraph(v, tuple(masks))

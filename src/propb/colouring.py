@@ -184,12 +184,13 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     balanced = 0
     red_masks: list[int] = []
     for base, proper in _proper_blocks(h):
-        total += proper.bit_count()
+        count = proper.bit_count()
+        total += count
         if v % 2 == 0:
             wanted = v // 2 - base.bit_count()
             balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
         if materialize:
-            red_masks.extend([base | j << v - t for j in sparse_bit_indices(proper)])
+            red_masks.extend([base | j << v - t for j in sparse_bit_indices(proper, count)])
 
     if not materialize:
         return EnumerationReport(2 * total, 2 * balanced)

@@ -1,6 +1,7 @@
 """Randomized pipeline plus the exact probability helpers feeding it."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -159,6 +160,35 @@ def test_sampling_is_roughly_uniform_across_seeds():
     assert len(counts) == 70
     assert min(counts.values()) >= 10
     assert max(counts.values()) <= 60
+
+
+def randrange_sample(v, n, m, seed):
+    """Reference sampler: the partial Fisher-Yates loop on `Random.randrange`."""
+    rng = random.Random(seed)
+    pool = [1 << u for u in range(v)]
+    masks = []
+    for _ in range(m):
+        for i in range(n):
+            j = rng.randrange(i, v)
+            pool[i], pool[j] = pool[j], pool[i]
+        masks.append(sum(pool[:n]))
+    return Hypergraph(v, tuple(masks))
+
+
+def test_sampling_stream_matches_randrange():
+    """The getrandbits draws replay randrange(i, v) exactly, so every sample,
+    and every document built from one, depends only on the seed.  The grid
+    takes in spans v - i that are powers of two, where k = span.bit_length()
+    is one bit more than the span needs and half the draws are redrawn."""
+    seeds = [0, 1, (1 << 63) - 1] + [derive_seed(s, r) for s in (5, 99) for r in (1, 7)]
+    spans = set()
+    for v in range(2, 41):
+        for n in range(2, min(v, 9) + 1):
+            spans.update(range(v - n + 1, v + 1))
+            for m in (0, 1, 60):
+                for seed in seeds:
+                    assert sample_uniform_edges(v, n, m, seed) == randrange_sample(v, n, m, seed)
+    assert {1, 2, 4, 8, 16, 32} <= spans
 
 
 def test_derive_seed():

@@ -11,7 +11,7 @@ import pytest
 
 from propb import colouring
 from propb._bits import bit_indices, mask_of, scan_bit_pattern, scan_ones
-from propb.alteration import AlterationParams, derive_seed, sample_uniform_edges
+from propb.alteration import AlterationParams, derive_seed, run_alteration, sample_uniform_edges
 from propb import (
     Colouring,
     affine_plane_gf4,
@@ -289,6 +289,42 @@ def test_n8_census_is_pinned(monkeypatch):
     assert digest == "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
 
 
+def affine_plane_gf5():
+    """AG(2,5): 25 points, 30 lines of 5; 2 522 200 proper colourings."""
+    lines = [[x * 5 + (a * x + b) % 5 for x in range(5)] for a in range(5) for b in range(5)]
+    lines += [[x * 5 + y for y in range(5)] for x in range(5)]
+    return make_hypergraph(25, lines)
+
+
+def test_listing_agrees_with_counting(monkeypatch):
+    """Listing takes each block's count from its one popcount and reads the
+    block sparse (below one set bit per 128) or dense; both sides of that
+    switch must list exactly what counting counts."""
+    sides = set()
+    extract = colouring.sparse_bit_indices
+
+    def spy(x, count):
+        sides.add(count << 7 >= x.bit_length())
+        return extract(x, count)
+
+    monkeypatch.setattr(colouring, "sparse_bit_indices", spy)
+    rng = random.Random(17)
+    cases = [make_hypergraph(0, []), make_hypergraph(1, []), make_hypergraph(2, [{0, 1}])]
+    for n, seed in ((6, 0), (6, 3), (7, 1)):
+        params = AlterationParams.for_edge_size(n, seed)
+        cases.append(sample_uniform_edges(params.v, n, params.m_prime, seed))
+    cases.append(affine_plane_gf5())
+    for v in (17, 20, 21, 24):
+        cases.append(make_hypergraph(v, [rng.sample(range(v), rng.randint(3, 6)) for _ in range(8)]))
+    for h in cases:
+        listed = enumerate_proper(h, materialize=True)
+        counted = enumerate_proper(h)
+        balanced = sum(2 * r.bit_count() == h.v for r in listed.red_masks)
+        assert listed.total_proper == counted.total_proper == len(listed.red_masks)
+        assert listed.balanced_count == counted.balanced_count == balanced
+    assert sides == {False, True}
+
+
 @pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
 def test_enumeration_limit_env_is_validated(monkeypatch, raw):
     monkeypatch.setenv("PROPB_ENUM_LIMIT", raw)
@@ -324,6 +360,68 @@ def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
     randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(30)]
     for h in SPLIT_CASES + randoms:
         red = lex_first_oracle(h)
+        expected = (False, None) if red is None else (True, Colouring(h.v, red))
+        assert is_two_colourable(h) == expected
+
+
+def lex_first_search(h):
+    """`lex_first_oracle` by plain backtracking, fast enough for 18 vertices.
+
+    Vertex i is painted blue, then red, and a branch ends as soon as an edge
+    whose top member is i is monochromatic.
+    """
+    by_top = [[] for _ in range(h.v)]
+    for mask in h.edge_masks:
+        by_top[mask.bit_length() - 1].append(mask)
+
+    def search(i, red):
+        if i == h.v:
+            return red
+        for r in (red, red | 1 << i):
+            if all(0 < mask & r < mask for mask in by_top[i]):
+                found = search(i + 1, r)
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, 0)
+
+
+def test_lex_first_search_matches_the_scan():
+    rng = random.Random(59)
+    for _ in range(60):
+        h = random_hypergraph(rng, max_v=12, max_edges=14, max_size=4)
+        assert lex_first_search(h) == lex_first_oracle(h)
+
+
+def structured_instances():
+    """The paper example less each edge, and run_alteration outputs for
+    n = 4-6, whole (uncolourable) and less their first blocking edge."""
+    paper = paper_example()
+    masks = paper.edge_masks
+    cases = [Hypergraph(paper.v, masks[:i] + masks[i + 1:]) for i in range(len(masks))]
+    for n, seed in ((4, 0), (4, 1), (5, 0), (5, 1), (6, 0)):
+        h, report = run_alteration(n, seed)
+        cut = report.killing_masks[0]
+        cases += [h, Hypergraph(h.v, tuple(m for m in h.edge_masks if m != cut))]
+    return cases
+
+
+STRUCTURED_CASES = structured_instances()
+
+
+def test_structured_decisions_agree_with_the_census():
+    answers = set()
+    for h in STRUCTURED_CASES:
+        colourable, _ = is_two_colourable(h)
+        assert colourable == (enumerate_proper(h).total_proper > 0)
+        answers.add(colourable)
+    assert answers == {False, True}
+
+
+def test_structured_witnesses_are_lex_first():
+    for h in STRUCTURED_CASES:
+        red = lex_first_search(h)
         expected = (False, None) if red is None else (True, Colouring(h.v, red))
         assert is_two_colourable(h) == expected
 

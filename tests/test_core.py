@@ -166,7 +166,7 @@ FIXED_INTS = (
 def test_bit_indices_matches_naive_on_fixed_ints(x):
     expected = naive_bit_indices(x)
     assert bit_indices(x) == expected
-    assert sparse_bit_indices(x) == expected
+    assert sparse_bit_indices(x, x.bit_count()) == expected
 
 
 @st.composite
@@ -186,7 +186,7 @@ def wide_ints(draw):
 def test_bit_indices_matches_naive(x):
     expected = naive_bit_indices(x)
     assert bit_indices(x) == expected
-    assert sparse_bit_indices(x) == expected
+    assert sparse_bit_indices(x, x.bit_count()) == expected
 
 
 @st.composite
