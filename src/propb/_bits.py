@@ -37,15 +37,20 @@ def bit_indices(x: int) -> list[int]:
     return out
 
 
+def is_sparse(x: int, count: int) -> bool:
+    """True iff x, of popcount `count`, has under one set bit per 128."""
+    return count << 7 < x.bit_length()
+
+
 def sparse_bit_indices(x: int, count: int) -> list[int]:
     """Set-bit positions of x, ascending, given its popcount `count`.
 
     `bit_indices` makes one index object per byte of x, which dominates for
-    a census block with a few proper colourings among 2**16.  Below one set
-    bit per 128, the top bit is read with `bit_length` and cleared, so each
+    a census block with a few proper colourings among 2**16.  Sparse x
+    (`is_sparse`) has its top bit read with `bit_length` and cleared, so each
     step costs the length of what is left.  Denser x goes to `bit_indices`.
     """
-    if count << 7 >= x.bit_length():
+    if not is_sparse(x, count):
         return bit_indices(x)
     out: list[int] = []
     append = out.append

@@ -85,6 +85,9 @@ def _cmd_derive_h8(args: argparse.Namespace) -> int:
 
 def _cmd_alteration(args: argparse.Namespace) -> int:
     h, report = run_alteration(args.n, args.seed, args.max_retries, args.strict)
+    # The document is written first, so a failed write prints no report.
+    if args.output is not None:
+        Path(args.output).write_text(serialize(h), encoding="utf-8")
     p = report.params
     print("command: alteration")
     print(f"n: {p.n}")
@@ -105,8 +108,6 @@ def _cmd_alteration(args: argparse.Namespace) -> int:
     print(f"q-total: {report.q_total} = {report.q_total.decimal_str()}")
     print(f"verified-uncolourable: {'yes' if report.verified_uncolourable else 'no'}")
     print(f"status: {'PASS' if report.verified_uncolourable else 'FAIL'}")
-    if args.output is not None:
-        Path(args.output).write_text(serialize(h), encoding="utf-8")
     return 0 if report.verified_uncolourable else 1
 
 

@@ -54,6 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 from propb._bits import (
     bit_indices,
+    is_sparse,
     mask_members,
     scan_bit_pattern,
     scan_ones,
@@ -186,11 +187,17 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     for base, proper in _proper_blocks(h):
         count = proper.bit_count()
         total += count
-        if v % 2 == 0:
-            wanted = v // 2 - base.bit_count()
-            balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
         if materialize:
-            red_masks.extend([base | j << v - t for j in sparse_bit_indices(proper, count)])
+            js = sparse_bit_indices(proper, count)
+            red_masks.extend([base | j << v - t for j in js])
+        if v % 2 == 0:
+            # A sparse listed block counts its few indices of the wanted
+            # popcount; any other block pays one AND with the 8 KiB pattern.
+            wanted = v // 2 - base.bit_count()
+            if materialize and is_sparse(proper, count):
+                balanced += list(map(int.bit_count, js)).count(wanted)
+            else:
+                balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
 
     if not materialize:
         return EnumerationReport(2 * total, 2 * balanced)

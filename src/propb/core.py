@@ -7,6 +7,7 @@ any value that downstream code compares, accumulates, or serializes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
@@ -147,11 +148,11 @@ class Hypergraph:
         if ordered:
             object.__setattr__(self, "edge_masks", masks)
             return
+        # Lex order first, then a stable sort by size: (size, lex) order
+        # without a key tuple per mask.
         width = (max(masks).bit_length() + 7) // 8
-        canon = sorted(
-            set(masks),
-            key=lambda m: (m.bit_count(), m.to_bytes(width, "little").translate(_LEX)),
-        )
+        canon = sorted(set(masks), key=lambda m: m.to_bytes(width, "little").translate(_LEX))
+        canon.sort(key=int.bit_count)
         object.__setattr__(self, "edge_masks", tuple(canon))
 
     @property
@@ -187,12 +188,15 @@ def make_hypergraph(v: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
 
 
 def q_value(h: Hypergraph) -> DyadicValue:
-    """Sum of 2**(-|e|) over all edges, as an exact dyadic value."""
+    """Sum of 2**(-|e|) over all edges, as an exact dyadic value.
+
+    Edges are counted by size, so there is one shift per distinct size.
+    """
     if not h.edge_masks:
         return DyadicValue(0)
-    sizes = [m.bit_count() for m in h.edge_masks]
+    sizes = Counter(map(int.bit_count, h.edge_masks))
     top = max(sizes)
-    total = sum(1 << (top - s) for s in sizes)
+    total = sum(count << (top - s) for s, count in sizes.items())
     return DyadicValue(total, top)
 
 

@@ -10,15 +10,17 @@ each edge is held as a v-bit mask, so the cap bounds the memory one edge
 line can claim.
 
 Readers accept edge lines in any order.  Text and masks are converted by
-table, not vertex by vertex: a writer joins one pre-joined name string per
-nonzero byte of a mask, and a reader maps each token to its vertex bit.  A
-canonical document's masks arrive in canonical order and are kept without
-sorting, so reading and writing one are linear in its length.
+table, not vertex by vertex: a writer lays all masks out as one byte string
+and maps each byte column through a table of pre-joined names, and a reader
+maps each token to its vertex bit.  A canonical document's masks arrive in
+canonical order and are kept without sorting, so reading and writing one are
+linear in its length.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from propb.core import Hypergraph
 
@@ -34,27 +36,28 @@ class DocumentError(ValueError):
 def _byte_names(i: int) -> tuple[str, ...]:
     """Entry b names the vertices 8i..8i+7 whose bits are set in byte b.
 
-    The names are space-joined as on an edge line, so a line is the join of
-    one entry per nonzero byte of its mask.
+    Each name is preceded by a space (entry 0 is empty), so the entries of
+    a mask's bytes join to its edge line with one leading space.
     """
     names = [""]
     for b in range(1, 256):
         top = b.bit_length() - 1
-        rest, name = names[b ^ 1 << top], str(8 * i + top)
-        names.append(f"{rest} {name}" if rest else name)
+        names.append(f"{names[b ^ 1 << top]} {8 * i + top}")
     return tuple(names)
 
 
 def serialize(h: Hypergraph) -> str:
-    """Canonical text form; parse(serialize(h)) == h."""
-    width = (max(h.edge_masks, default=0).bit_length() + 7) // 8
-    rows = [_byte_names(i) for i in range(width)]
-    lines = [f"p {h.v} {h.edge_count}"]
-    append = lines.append
-    for mask in h.edge_masks:
-        data = mask.to_bytes(width, "little")
-        append(" ".join([row[b] for row, b in zip(rows, data) if b]))
-    return "\n".join(lines) + "\n"
+    """Canonical text form; parse(serialize(h)) == h.
+
+    Column i holds byte i of every mask; it is named through one table in
+    a single pass, and row j of the columns joins to edge j's line.
+    """
+    masks = h.edge_masks
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    columns = [map(_byte_names(i).__getitem__, data[i::width]) for i in range(width)]
+    lines = [line[1:] for line in map("".join, zip(*columns))]
+    return "\n".join([f"p {h.v} {h.edge_count}", *lines]) + "\n"
 
 
 def parse(text: str) -> Hypergraph:

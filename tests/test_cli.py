@@ -215,6 +215,12 @@ def test_usage_and_io_errors(tmp_path, capsys):
     code, _, err = run(["count", bad], capsys)
     assert code == 2
     assert "error:" in err
+    # An unwritable -o fails before the report, so no PASS reaches stdout.
+    unwritable = str(tmp_path / "missing-dir" / "x.txt")
+    code, out, err = run(["alteration", "--n", "3", "--seed", "1", "-o", unwritable], capsys)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err)
 
 
 def test_env_limit_applies_to_cli(tmp_path, capsys, monkeypatch):

@@ -298,8 +298,9 @@ def affine_plane_gf5():
 
 def test_listing_agrees_with_counting(monkeypatch):
     """Listing takes each block's count from its one popcount and reads the
-    block sparse (below one set bit per 128) or dense; both sides of that
-    switch must list exactly what counting counts."""
+    block sparse (below one set bit per 128) or dense, and a sparse block
+    counts its balanced colourings from the listed indices; both sides of
+    that switch must list and count exactly what counting counts."""
     sides = set()
     extract = colouring.sparse_bit_indices
 

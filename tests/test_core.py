@@ -191,11 +191,13 @@ def test_bit_indices_matches_naive(x):
 
 @st.composite
 def edge_masks(draw):
-    """Masks on up to 70 vertices, sizes 2..9; members drawn from a narrow
-    window as well as from all vertices give many equal-size edges that
-    share low members and differ in any byte."""
-    v = draw(st.integers(min_value=2, max_value=70))
-    lo = draw(st.integers(min_value=0, max_value=v - 2))
+    """Masks on up to 70 vertices, or on up to 4096 with the window in the
+    top 70, sizes 2..9; members drawn from a narrow window as well as from
+    all vertices give many equal-size edges that share low members or low
+    zero bytes and differ in any byte, and equal-size masks of different
+    byte lengths."""
+    v = draw(st.integers(min_value=2, max_value=70) | st.integers(min_value=71, max_value=4096))
+    lo = draw(st.integers(min_value=max(0, v - 70), max_value=v - 2))
     hi = draw(st.integers(min_value=lo + 1, max_value=v - 1))
     members = st.integers(min_value=lo, max_value=hi) | st.integers(min_value=0, max_value=v - 1)
     edges = draw(st.lists(st.frozensets(members, min_size=2, max_size=9), max_size=40))

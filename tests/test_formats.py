@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from propb import (
     DocumentError,
+    Hypergraph,
     affine_plane_gf4,
     check_line,
     fano,
@@ -18,6 +19,7 @@ from propb import (
     seymour_toft,
     triangle,
 )
+from propb._bits import mask_members
 from propb.formats import MAX_VERTICES
 
 
@@ -33,12 +35,25 @@ def test_example_document_shape():
     assert doc.endswith("\n")
 
 
+def reference_serialize(h):
+    """Per-edge writer: one line of sorted member indices per edge."""
+    lines = [f"p {h.v} {h.edge_count}"] + [" ".join(map(str, mask_members(m))) for m in h.edge_masks]
+    return "\n".join(lines) + "\n"
+
+
 def test_named_round_trips():
-    for build in (triangle, fano, seymour_toft, affine_plane_gf4, paper_example):
-        h = build()
+    wide = [
+        make_hypergraph(4096, [{0, 4095}, {8, 9, 4000}]),  # zero middle bytes
+        make_hypergraph(4096, [{4094, 4095}, {17, 18, 20}]),  # each inside one byte
+        Hypergraph(0, ()),
+        Hypergraph(4096, ()),
+    ]
+    for h in [build() for build in (triangle, fano, seymour_toft, affine_plane_gf4, paper_example)] + wide:
         doc = serialize(h)
+        assert doc == reference_serialize(h)
         assert parse(doc) == h
         assert serialize(parse(doc)) == doc
+    assert serialize(Hypergraph(0, ())) == "p 0 0\n"
 
 
 @st.composite
@@ -56,6 +71,7 @@ def hypergraphs(draw):
 @given(hypergraphs())
 @settings(max_examples=150)
 def test_random_round_trips(h):
+    assert serialize(h) == reference_serialize(h)
     assert parse(serialize(h)) == h
 
 
