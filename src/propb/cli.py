@@ -145,56 +145,72 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="propb",
-        description="Exact 2-colourability workbench for non-uniform hypergraphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_file(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
 
-    p = sub.add_parser("construct", help="emit a named hypergraph as a document")
+
+def _add_construct(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=sorted(CONSTRUCTIONS))
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("q", help="exact dyadic weight of a hypergraph file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_q)
 
-    p = sub.add_parser("check", help="decide 2-colourability; print a witness if any")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("count", help="exact number of proper 2-colourings")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("derive-h8", help="blocking edges for a balanced-colouring input")
+def _add_derive_h8(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_derive_h8)
 
-    p = sub.add_parser("alteration", help="randomized non-2-colourable construction")
+
+def _add_alteration(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="smallest edge size")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="retry until the survivor threshold holds")
     p.add_argument("--max-retries", type=int, default=50)
     p.add_argument("-o", "--output", help="write the final hypergraph to a file")
-    p.set_defaults(func=_cmd_alteration)
 
-    p = sub.add_parser("design-check", help="test the edges as blocks of a t-design")
+
+def _add_design_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_design_check)
 
-    p = sub.add_parser("verify-paper", help="verify the bundled 16-vertex example")
-    p.set_defaults(func=_cmd_verify_paper)
+
+# name -> (help, argument adder, handler), in the order `propb -h` lists them.
+COMMANDS: dict[str, tuple[str, Callable[..., None], Callable[..., int]]] = {
+    "construct": ("emit a named hypergraph as a document", _add_construct, _cmd_construct),
+    "q": ("exact dyadic weight of a hypergraph file", _add_file, _cmd_q),
+    "check": ("decide 2-colourability; print a witness if any", _add_file, _cmd_check),
+    "count": ("exact number of proper 2-colourings", _add_file, _cmd_count),
+    "derive-h8": ("blocking edges for a balanced-colouring input", _add_derive_h8, _cmd_derive_h8),
+    "alteration": ("randomized non-2-colourable construction", _add_alteration, _cmd_alteration),
+    "design-check": ("test the edges as blocks of a t-design", _add_design_check, _cmd_design_check),
+    "verify-paper": ("verify the bundled 16-vertex example", lambda p: None, _cmd_verify_paper),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The top parser with every command's subparser, or with `only`'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="propb",
+        description="Exact 2-colourability workbench for non-uniform hypergraphs.",
+    )
+    # A narrowed parser's usage line, and so its errors, still names every
+    # command.  The full one keeps metavar None, which its `invalid choice`
+    # and `required` errors need to name the argument `command`.
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, add_arguments, handler) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def cli(argv: Sequence[str] | None = None) -> int:
-    """Run one command; returns the exit code instead of exiting."""
-    parser = build_parser()
+    """Run one command; returns the exit code instead of exiting.
+
+    Builds only the subparser of a command named first; see `build_parser`.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -467,11 +467,12 @@ def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
     before red.  There is no vertex limit.
     """
     t = _block_bits(h.v)
+    blue_pats = _block_patterns(t)[1]
     for base, proper in _proper_blocks(h):
         # Keep the blue half of the block's proper colourings wherever it is
         # non-empty, lowest block vertex first; one colouring is left.
-        for b in range(t):
-            blue = proper & ~scan_bit_pattern(b, t)
+        for pattern in blue_pats:
+            blue = proper & pattern
             if blue:
                 proper = blue
         return True, Colouring(h.v, base | (proper.bit_length() - 1) << h.v - t)

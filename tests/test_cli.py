@@ -1,5 +1,6 @@
 """End-to-end command tests: stdout contracts, exit codes, file round trips."""
 
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from propb import (
     serialize,
     triangle,
 )
-from propb.cli import cli
+from propb.cli import COMMANDS, build_parser, cli
 
 
 def run(argv, capsys):
@@ -299,3 +300,107 @@ def test_runtime_imports_are_stdlib_only():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+# Per command: a valid call, -h, a missing argument, a bad int value, an extra
+# positional and an unknown option, where the command has such an argument.
+PARSE_CASES = {
+    "construct": [["fano", "-o", "x.txt"], ["-h"], [], ["no-such-name"], ["fano", "extra"], ["fano", "--bogus"]],
+    "q": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "check": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "count": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "derive-h8": [["h.txt", "-o", "x.txt"], ["-h"], [], ["h.txt", "-o"], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "alteration": [
+        ["--n", "3", "--seed", "1", "--strict", "--max-retries", "4", "-o", "x.txt"],
+        ["-h"],
+        ["--n", "3"],
+        ["--n", "three", "--seed", "1"],
+        ["--n", "3", "--seed", "1", "--max-retries", "1.5"],
+        ["--n", "3", "--seed", "1", "extra"],
+        ["--n", "3", "--seed", "1", "--bogus"],
+    ],
+    "design-check": [
+        ["h.txt", "--t", "2"], ["-h"], ["h.txt"], ["h.txt", "--t", "two"],
+        ["h.txt", "--t", "2", "extra"], ["h.txt", "--t", "2", "--bogus"],
+    ],
+    "verify-paper": [[], ["-h"], ["extra"], ["--bogus"]],
+}
+NAMED_ARGV = [[name, *rest] for name, cases in PARSE_CASES.items() for rest in cases]
+# argv that name no command, so the full parser answers them.
+UNNAMED_ARGV = [[], ["-h"], ["--help"], ["no-such-command"], ["--bogus", "check", "h.txt"], ["Check", "h.txt"]]
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_commands_table_covers_every_command():
+    assert sorted(COMMANDS) == sorted(PARSE_CASES)
+
+
+@pytest.mark.parametrize("argv", NAMED_ARGV, ids=" ".join)
+def test_narrowed_parser_parses_like_the_full_one(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    narrowed = parse_outcome(build_parser(argv[0]), argv, capsys)
+    assert narrowed == parse_outcome(build_parser(), argv, capsys)
+    if not isinstance(narrowed[0], dict):  # a usage error or help exits in the parser
+        assert run(argv, capsys) == (narrowed[0], narrowed[1], narrowed[2])
+
+
+@pytest.mark.parametrize("argv", UNNAMED_ARGV, ids=" ".join)
+def test_cli_without_a_command_first_answers_as_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = parse_outcome(build_parser(), argv, capsys)
+    assert run(argv, capsys) == (code, out, err)
+    assert code in (0, 2)
+    usage = out if code == 0 else err
+    assert usage.startswith("usage: propb [-h]")
+    assert "{construct,q,check,count,derive-h8,alteration,design-check,verify-paper}" in usage
+
+
+def test_full_parser_errors_name_the_command_argument(capsys):
+    assert run([], capsys)[2].endswith("propb: error: the following arguments are required: command\n")
+    err = run(["no-such-command"], capsys)[2]
+    assert "propb: error: argument command: invalid choice: 'no-such-command'" in err
+
+
+def count_subparsers(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["verify-paper"], ["verify-paper"]),
+        (["check", "missing.txt"], ["check"]),
+        (["alteration", "-h"], ["alteration"]),
+        (["-h"], list(COMMANDS)),
+        (["no-such-command"], list(COMMANDS)),
+        ([], list(COMMANDS)),
+    ],
+)
+def test_cli_builds_only_the_named_subparser(argv, expected, capsys, monkeypatch):
+    built = count_subparsers(monkeypatch)
+    run(argv, capsys)
+    assert built == expected
+
+
+def test_cli_reads_sys_argv_to_choose_the_command(capsys, monkeypatch):
+    expected = run(["verify-paper"], capsys)[:2]
+    built = count_subparsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["propb", "verify-paper"])
+    assert run(None, capsys)[:2] == expected
+    assert built == ["verify-paper"]
