@@ -50,6 +50,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import and_, itemgetter, rshift
 from typing import Iterable, Iterator, Sequence
 
 from propb._bits import (
@@ -76,6 +78,9 @@ _KEY_BITS = 6
 # monochromatic on the block colourings that contain S, its blue side on
 # those inside the complement of S.
 Side = tuple[int, int]
+# The edges that share their bits below the block, as the census files
+# them: (key, sides), every side with that key.
+Entry = tuple[int, list[Side]]
 
 
 def enumeration_limit() -> int:
@@ -286,7 +291,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         return red, blue
 
     def fold(
-        runs: list[dict[int, list[Side]]], opposite: int, table: dict[int, int], as_red: bool
+        runs: list[dict[int, list[Entry]]], opposite: int, table: dict[int, int], as_red: bool
     ) -> dict[int, int]:
         """OR the buckets in `runs` whose branch members miss `opposite` into a copy of `table`.
 
@@ -296,10 +301,10 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         """
         groups: dict[int, list[Side]] = {}
         for run in runs:
-            for members in run:
+            for members, entries in run.items():
                 if not members & opposite:
-                    for side in run[members]:
-                        groups.setdefault(side[1], []).append(side)
+                    for key, sides in entries:
+                        groups.setdefault(key, []).extend(sides)
         if not groups:
             return table
         table = dict(table)
@@ -308,18 +313,29 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             if len(group) < t:
                 chain += group
             else:
-                table[key] = table.get(key, 0) | _close([low for low, _ in group], t, as_red)
+                table[key] = table.get(key, 0) | _close(map(itemgetter(0), group), t, as_red)
         return _or_by_key(sorted(chain), red_pats if as_red else blue_pats, full, table)
 
-    # tops[u][m & head] lists the sides of the edges m whose highest member
-    # below key_base is u (0 when there is none), bucketed by those members.
-    # At a node whose lowest free branch vertex is u, every vertex below u is
-    # painted, so each bucket in tops[:u] is tested once and folded in.
-    tops: list[dict[int, list[Side]]] = [{} for _ in range(key_base)]
-    for m in h.edge_masks:
-        members = m & head
-        side = (m >> shift, m >> key_base & key_mask)
-        tops[(members | 1).bit_length() - 1].setdefault(members, []).append(side)
+    # Each edge m is filed once by its bits under the block, m & ((1 <<
+    # shift) - 1), which hold vertex 0, its branch and its key members: its
+    # side joins that value's list.  tops[u][members] holds one (key, sides)
+    # entry per such value whose highest member below key_base is u (0 when
+    # there is none), bucketed by those members; the side lists are shared
+    # and never written.  At a node whose lowest free branch vertex is u,
+    # every vertex below u is painted, so each bucket in tops[:u] is tested
+    # once and folded in.
+    masks = h.edge_masks
+    under = list(map(and_, masks, repeat((1 << shift) - 1)))
+    sides = zip(map(rshift, masks, repeat(shift)), map(rshift, under, repeat(key_base)))
+    filed: dict[int, list[Side]] = {bits: [] for bits in dict.fromkeys(under)}
+    for _ in map(list.append, map(filed.__getitem__, under), sides):
+        pass
+    del under  # one int per edge, not needed while the search runs
+    tops: list[dict[int, list[Entry]]] = [{} for _ in range(key_base)]
+    for bits, group in filed.items():
+        members = bits & head
+        entry = (bits >> key_base, group)
+        tops[(members | 1).bit_length() - 1].setdefault(members, []).append(entry)
     branch = head - 1  # vertices 1 .. key_base - 1
     # A node is (reached, red, blue, red_table, blue_table): a painted state
     # whose lowest free branch vertex is `reached` (key_base at a leaf), and
@@ -411,7 +427,7 @@ def _or_by_key(
     return table
 
 
-def _close(lows: list[int], t: int, as_red: bool) -> int:
+def _close(lows: Iterable[int], t: int, as_red: bool) -> int:
     """The OR of one key group's red (or blue) side patterns over a block of 2**t.
 
     A red side with block members `low` is monochromatic on the block

@@ -11,21 +11,33 @@ line can claim.
 
 Readers accept edge lines in any order.  Text and masks are converted by
 table, not vertex by vertex: a writer lays all masks out as one byte string
-and maps each byte column through a table of pre-joined names, and a reader
-maps each token to its vertex bit.  A canonical document's masks arrive in
-canonical order and are kept without sorting, so reading and writing one are
-linear in its length.
+and maps each byte column through a table of pre-joined names.  A reader
+takes a document in canonical token layout (the header on line 1, then edge
+lines of canonical vertex names joined by single spaces, each ending in a
+newline) column by column: each chunk of lines is split into tokens at once
+and mapped to vertex bits, and each run of lines of one size is cut into
+its columns, checked for strict increase column against column and summed
+into masks.  Any other text, and any canonical-looking text with a fault,
+is read again by the line walk, which alone reads loose input (comments,
+blank lines, tabs, CRLF, tokens such as ``007``) and names the faulty line.
+A canonical document's masks arrive in canonical order and are kept without
+sorting, so reading and writing one are linear in its length.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import lt
 
 from propb.core import Hypergraph
 
 
 MAX_VERTICES = 4096
+
+# Edge lines per columnar pass: bounds the token lists of one pass, so a
+# long document is never split into tokens all at once.
+_CHUNK_LINES = 1024
 
 
 class DocumentError(ValueError):
@@ -61,12 +73,65 @@ def serialize(h: Hypergraph) -> str:
 
 
 def parse(text: str) -> Hypergraph:
-    """Read a document, validating shape line by line.
+    """Read a document, validating its header and every edge line.
 
     Comment and blank lines are skipped.  Edge lines must be strictly
     increasing, in range, of size >= 2, unique, and as many as the header
-    promises.
+    promises.  A document in canonical token layout is read column by
+    column; anything else, and every fault, goes to the line walk.
     """
+    h = _read_columns(text)
+    return h if h is not None else _walk_lines(text)
+
+
+def _read_columns(text: str) -> Hypergraph | None:
+    """The hypergraph of a faultless document in canonical token layout, else None.
+
+    Each chunk of edge lines is joined and split into tokens in one go and
+    mapped to vertex bits; a token the table lacks (an empty one too) is a
+    miss.  In a run of lines of k tokens, column i is bits[i::k] of the run:
+    each line increases strictly when each column is below the next, and
+    then its mask is its row's sum.
+    """
+    lines = text.split("\n")
+    if lines.pop() or not lines:  # no line, or the last one lacks its newline
+        return None
+    fields = lines[0].split(" ")
+    if len(fields) != 3 or fields[0] != "p":
+        return None
+    try:
+        v, m = int(fields[1]), int(fields[2])
+    except ValueError:
+        return None
+    if v < 0 or v > MAX_VERTICES or m != len(lines) - 1:
+        return None
+    bit_of = {str(u): 1 << u for u in range(v)}
+    masks: list[int] = []
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        try:
+            bits = list(map(bit_of.__getitem__, " ".join(chunk).split(" ")))
+        except KeyError:
+            return None
+        at = 0
+        for spaces, run in groupby(map(str.count, chunk, repeat(" "))):
+            k = spaces + 1
+            if k < 2:
+                return None
+            end = at + len(list(run)) * k
+            columns = [bits[i:end:k] for i in range(at, at + k)]
+            for column, right in zip(columns, columns[1:]):
+                if not all(map(lt, column, right)):
+                    return None
+            masks += map(sum, zip(*columns))  # distinct bits: the sum is the OR
+            at = end
+    h = Hypergraph(v, tuple(masks))
+    # Hypergraph collapses duplicates, which the walk reports by line.
+    return h if len(h.edge_masks) == m else None
+
+
+def _walk_lines(text: str) -> Hypergraph:
+    """Read any document line by line; a fault raises DocumentError naming its line."""
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

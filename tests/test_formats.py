@@ -1,6 +1,7 @@
 """Text document round trips and line-precise parse errors."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,14 @@ from propb import (
     make_hypergraph,
     paper_example,
     parse,
+    run_alteration,
     serialize,
     seymour_toft,
     triangle,
 )
+from propb import formats
 from propb._bits import mask_members
-from propb.formats import MAX_VERTICES
+from propb.formats import _CHUNK_LINES, MAX_VERTICES
 
 
 def test_triangle_document():
@@ -105,6 +108,8 @@ def test_parse_errors():
         ("p 3 1\n2 1 -1\n", "line 2: vertex indices must be strictly increasing"),
         ("p 3 1\n007 1\n", "line 2: vertex indices must be strictly increasing"),
         ("p 3 2\n0 1\n00 01\n", "line 3: duplicate edge line"),
+        # a duplicate line that the promised count would hide once collapsed
+        ("p 3 2\n0 1\n0 2\n0 1\n", "line 4: duplicate edge line"),
     ]
     for doc, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
@@ -176,6 +181,27 @@ FAULTS = (
 )
 
 
+def break_line(members, fault, v, rng):
+    """The edge `members` (ints) with one of the FAULTS that act on a line."""
+    e = list(members)
+    if fault == "non-numeric":
+        e[rng.randrange(len(e))] = rng.choice(["x", "1.5", "0x1", "--1"])
+    elif fault == "single vertex":
+        e = e[:1]
+    elif fault == "repeat":
+        j = rng.randrange(len(e))
+        e.insert(j, e[j])
+    elif fault == "decrease":
+        e.reverse()
+    elif fault == "out of range":
+        e.append(rng.randint(v, v + 3))
+    elif fault == "negative":
+        e.insert(0, -rng.randint(1, 3))
+    elif fault == "decrease and out of range":
+        e = [rng.choice([-1, v])] + e[::-1]
+    return e
+
+
 @st.composite
 def loose_documents(draw):
     """A document as a person might write it: edge lines shuffled, comments,
@@ -202,26 +228,11 @@ def loose_documents(draw):
             lines.append([0, 1])
             m += 1
         i = rng.randrange(len(lines))
-        e = list(lines[i])
-        if fault == "non-numeric":
-            e[rng.randrange(len(e))] = rng.choice(["x", "1.5", "0x1", "--1"])
-        elif fault == "single vertex":
-            e = e[:1]
-        elif fault == "repeat":
-            j = rng.randrange(len(e))
-            e.insert(j, e[j])
-        elif fault == "decrease":
-            e.reverse()
-        elif fault == "out of range":
-            e.append(rng.randint(v, v + 3))
-        elif fault == "negative":
-            e.insert(0, -rng.randint(1, 3))
-        elif fault == "decrease and out of range":
-            e = [rng.choice([-1, v])] + e[::-1]
-        elif fault == "duplicate":
-            lines.insert(rng.randint(0, len(lines)), list(e))
+        if fault == "duplicate":
+            lines.insert(rng.randint(0, len(lines)), list(lines[i]))
             m += 1
-        lines[i] = e
+        else:
+            lines[i] = break_line(lines[i], fault, v, rng)
 
     def spell(u):
         if isinstance(u, str) or u < 0:
@@ -261,6 +272,107 @@ def outcome(read, text):
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_reference_parser(text):
     assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@st.composite
+def canonical_documents(draw):
+    """`serialize` output with at most one injected fault: one of FAULTS, a
+    line out of canonical order, the edge lines in descending size order, a
+    fault on the first line of the columnar reader's second chunk, or a size
+    change across that chunk boundary.  Some documents have 4096 vertices
+    with every member inside a window; some are longer than one chunk."""
+    shape = draw(st.sampled_from(["small", "wide", "long"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if shape == "small":
+        v = rng.randint(2, 20)
+        window, count = range(v), rng.randint(0, 12)
+    elif shape == "wide":
+        v, span = MAX_VERTICES, rng.randint(2, 24)
+        start = rng.randrange(v - span + 1)
+        window, count = range(start, start + span), rng.randint(1, 12)
+    else:
+        v = rng.randint(16, 20)
+        window, count = range(v), rng.randint(_CHUNK_LINES + 1, _CHUNK_LINES + 200)
+    sizes = range(2, min(len(window), 8) + 1)
+    edges = [rng.sample(window, rng.choice(sizes)) for _ in range(count)]
+    lines = serialize(make_hypergraph(v, edges)).split("\n")
+    header, rows = lines[0], [list(map(int, line.split(" "))) for line in lines[1:-1]]
+    m = len(rows)
+    fault = draw(st.sampled_from(FAULTS + ("out of order", "descending sizes", "boundary size")))
+    second = len(rows) > _CHUNK_LINES and draw(st.booleans())
+    i = _CHUNK_LINES if second else rng.randrange(len(rows)) if rows else None
+    if fault == "header":
+        header = rng.choice([f"p {v}", f"q {v} {m}", f"p {v} x", f"p -{v + 1} {m}", f"p  {v} {m}"])
+    elif fault == "count":
+        header = f"p {v} {m + rng.choice([-1, 1]) if m else 1}"
+    elif i is None:
+        pass
+    elif fault == "duplicate":
+        rows.insert(i + 1, rows[i])
+        header = f"p {v} {m + 1}"
+    elif fault == "out of order":
+        j = rng.randrange(len(rows))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif fault == "descending sizes":
+        rows.sort(key=len, reverse=True)
+    elif fault == "boundary size":
+        rows[i] = sorted(rng.sample(window, rng.choice(sizes)))
+    elif fault is not None:
+        rows[i] = break_line(rows[i], fault, v, rng)
+    return "\n".join([header] + [" ".join(map(str, row)) for row in rows]) + "\n"
+
+
+@given(canonical_documents())
+@settings(max_examples=300, deadline=None)
+def test_columnar_reader_matches_reference_parser(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the texts that `parse` hands to the line walk."""
+    seen = []
+    walk = formats._walk_lines
+    monkeypatch.setattr(formats, "_walk_lines", lambda text: seen.append(text) or walk(text))
+    return seen
+
+
+def test_canonical_documents_skip_the_line_walk(walks):
+    wide = Hypergraph(MAX_VERTICES, tuple(m << 4080 for m in paper_example().edge_masks))
+    for h in (paper_example(), run_alteration(6, 5)[0], wide):
+        assert parse(serialize(h)) == h
+    assert walks == []
+
+
+def test_loose_documents_go_to_the_line_walk(walks):
+    doc = serialize(triangle())
+    loose = [
+        "# comment\n" + doc,
+        doc.replace("0 1", "0\t1"),
+        doc.replace("\n", "\r\n"),
+        doc.replace("\n0 2", "\n\n0 2"),
+        doc.replace("0 1", "000 1"),
+    ]
+    for text in loose:
+        assert parse(text) == triangle()
+    assert walks == loose
+
+
+def test_columnar_reader_peak_memory_is_below_the_line_walk():
+    """The reader splits one chunk of lines into tokens at a time, so its
+    peak stays below the line walk's on a long document."""
+    rng = random.Random(20000)
+    h = make_hypergraph(26, [rng.sample(range(26), rng.randint(6, 9)) for _ in range(20000)])
+    text = serialize(h)
+    peaks = []
+    for read in (parse, formats._walk_lines):
+        tracemalloc.start()
+        try:
+            assert read(text) == h
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_parse_errors_carry_line_numbers():
