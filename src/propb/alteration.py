@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from propb._bits import mask_members
 from propb.colouring import Colouring, enumerate_proper, enumeration_limit
-from propb.core import DyadicValue, Hypergraph, binomial, q_value, union
+from propb.core import DyadicValue, Hypergraph, _Value, binomial, q_value, union
 from propb.formats import MAX_VERTICES
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Retry r of a run reseeds with seed ^ (r * _RESEED_STEP) mod 2**64, so one
 # integer seed determines the whole retry sequence.
@@ -53,6 +54,8 @@ def mono_probability(v1: int, v2: int, n: int) -> Fraction:
     v = v1 + v2
     if v < n:
         raise ValueError("fewer vertices than the edge size")
+    from fractions import Fraction
+
     return Fraction(binomial(v1, n) + binomial(v2, n), binomial(v, n))
 
 
@@ -153,10 +156,12 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
     return Hypergraph(v, tuple(masks))
 
 
-@dataclass(frozen=True)
-class AlterationParams:
+class AlterationParams(_Value):
     """Derived parameters of one pipeline run."""
 
+    __slots__ = (
+        "n", "v", "m_prime", "big_edge_size", "survivor_threshold", "seed", "max_retries", "strict"
+    )
     n: int
     v: int
     m_prime: int
@@ -166,11 +171,24 @@ class AlterationParams:
     max_retries: int
     strict: bool
 
-    def __post_init__(self) -> None:
-        if self.big_edge_size < 2:
+    def __init__(
+        self,
+        n: int,
+        v: int,
+        m_prime: int,
+        big_edge_size: int,
+        survivor_threshold: int,
+        seed: int,
+        max_retries: int,
+        strict: bool,
+    ) -> None:
+        if big_edge_size < 2:
             raise ValueError("blocking edges need at least 2 vertices")
-        if self.v != 2 * self.big_edge_size:
+        if v != 2 * big_edge_size:
             raise ValueError("vertex count must be twice the blocking edge size")
+        values = (n, v, m_prime, big_edge_size, survivor_threshold, seed, max_retries, strict)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_edge_size(
@@ -209,8 +227,7 @@ class AlterationParams:
         )
 
 
-@dataclass(frozen=True)
-class AlterationReport:
+class AlterationReport(NamedTuple):
     """Full trace of one pipeline run.
 
     survivor_masks lists the red masks of h1's proper colourings (the census
@@ -305,13 +322,16 @@ def run_alteration(
     h2 = Hypergraph(v, tuple(killing_masks))
     h = union(h1, h2)
     verified = _blocks_every_survivor(h, h1, survivors, killing_masks)
+    # Each blocking edge is monochromatic under a proper colouring of h1, so
+    # none is an h1 edge: h1 and h2 are disjoint and their weights add.
+    q_h1, q_h2 = q_value(h1), q_value(h2)
     report = AlterationReport(
         params=params,
         retries_used=retries_used,
         survivor_count=len(survivors),
-        q_h1=q_value(h1),
-        q_h2=q_value(h2),
-        q_total=q_value(h),
+        q_h1=q_h1,
+        q_h2=q_h2,
+        q_total=q_h1 + q_h2,
         verified_uncolourable=verified,
         h1=h1,
         h2=h2,

@@ -3,9 +3,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from propb._bits import mask_members, mask_of
 from propb.colouring import enumerate_proper, is_two_colourable, pair_opposites
@@ -13,8 +12,7 @@ from propb.constructions import affine_plane_gf4, derive_h8
 from propb.core import DyadicValue, Hypergraph, q_value, union
 
 
-@dataclass(frozen=True)
-class DesignCheckResult:
+class DesignCheckResult(NamedTuple):
     """Outcome of a t-design test over a block family.
 
     `lam` is the common t-subset count when it exists; otherwise
@@ -96,16 +94,14 @@ def is_edge_critical(h: Hypergraph) -> tuple[bool, frozenset[int] | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     expected: str
     actual: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Every documented fact about the 16-vertex example, checked one by one."""
 
     checks: tuple[CheckEntry, ...]

@@ -48,11 +48,10 @@ keys, and 32 give 9 and 512.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import and_, itemgetter, rshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from propb._bits import (
     bit_indices,
@@ -63,7 +62,7 @@ from propb._bits import (
     scan_popcount_pattern,
     sparse_bit_indices,
 )
-from propb.core import Hypergraph
+from propb.core import Hypergraph, _Value
 
 DEFAULT_ENUM_LIMIT = 28
 ENUM_LIMIT_ENV = "PROPB_ENUM_LIMIT"
@@ -101,26 +100,27 @@ def enumeration_limit() -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(_Value):
     """Red/blue split of vertices 0..v-1; bit i of red_mask means vertex i is red."""
 
+    __slots__ = ("v", "red_mask")
     v: int
     red_mask: int
 
-    def __post_init__(self) -> None:
-        if self.v < 0:
+    def __init__(self, v: int, red_mask: int) -> None:
+        if v < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.red_mask < 0 or self.red_mask.bit_length() > self.v:
+        if red_mask < 0 or red_mask.bit_length() > v:
             raise ValueError("red set out of range for vertex count")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "red_mask", red_mask)
 
     @property
     def red(self) -> frozenset[int]:
         return frozenset(bit_indices(self.red_mask))
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Exact census of proper colourings.
 
     `red_masks` lists every proper colouring as its red bitmask, sorted and

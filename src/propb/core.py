@@ -2,18 +2,61 @@
 
 Everything in this module is immutable and exact.  No floating point enters
 any value that downstream code compares, accumulates, or serializes.
+
+`Hypergraph` and `DyadicValue` (like `Colouring` and `AlterationParams`
+elsewhere) are `__slots__` classes on `_Value`: each `__init__` validates
+and stores its fields once, and `_Value` makes them immutable and gives
+field-wise `==`, `hash` and `repr`, as a frozen dataclass would, without
+importing `dataclasses` when the package loads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import total_ordering
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from propb._bits import mask_members
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+class _Value:
+    """Immutable value whose fields are its class's `__slots__`.
+
+    `__init__` stores each field with `object.__setattr__`; afterwards
+    assignment and deletion raise AttributeError.  Equality compares the
+    fields of two instances of one class, the hash is that of the field
+    tuple, and pickle and copy rebuild through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._values()
 
 
 def binomial(a: int, b: int) -> int:
@@ -29,8 +72,7 @@ def binomial(a: int, b: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class DyadicValue:
+class DyadicValue(_Value):
     """Nonnegative rational numerator / 2**exponent in canonical form.
 
     Canonical means the numerator is odd or zero (and a zero value has
@@ -39,11 +81,12 @@ class DyadicValue:
     the value equality give the other comparisons.
     """
 
+    __slots__ = ("numerator", "exponent")
     numerator: int
-    exponent: int = 0
+    exponent: int
 
-    def __post_init__(self) -> None:
-        n, e = self.numerator, self.exponent
+    def __init__(self, numerator: int, exponent: int = 0) -> None:
+        n, e = numerator, exponent
         if n < 0:
             raise ValueError("dyadic numerator must be nonnegative")
         if e < 0:
@@ -86,6 +129,8 @@ class DyadicValue:
         return a < b
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, 1 << self.exponent)
 
     def __float__(self) -> float:
@@ -108,8 +153,7 @@ class DyadicValue:
 _LEX = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Value):
     """Immutable hypergraph on vertices 0..v-1.
 
     Edges are bitmasks held in canonical order: ascending size, then
@@ -120,14 +164,15 @@ class Hypergraph:
     joined with larger blocking edges) are kept without sorting.
     """
 
+    __slots__ = ("v", "edge_masks")
     v: int
     edge_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        v = self.v
+    def __init__(self, v: int, edge_masks: Iterable[int]) -> None:
         if v < 0:
             raise ValueError("vertex count must be nonnegative")
-        masks = tuple(self.edge_masks)  # an iterator is read once, here
+        object.__setattr__(self, "v", v)
+        masks = tuple(edge_masks)  # an iterator is read once, here
         # Two masks of one size are in canonical order when the lowest
         # vertex in exactly one of them is in the first.
         ordered = True
