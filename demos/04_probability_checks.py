@@ -4,16 +4,16 @@ A uniform n-subset of v vertices is monochromatic under a fixed colouring
 with probability (C(v1,n) + C(v2,n)) / C(v,n); the balanced split v1 = v2
 minimizes this.  At v = n^2/2 the balanced value approaches 2/(e 2^n), and
 with exact big-integer binomials we can watch the convergence.  The same
-rationals feed the survivor-expectation bounds 2^v (1-q)^m < e^(v ln2 - qm).
+binomials give the exact expected number of colourings that survive m
+sampled edges.
 """
 
 import math
 
 from propb import (
-    asymptotic_q,
+    AlterationParams,
     balanced_probability,
-    expected_proper_upper_bound,
-    halved_edge_count,
+    expected_survivor_count,
     mono_probability,
 )
 
@@ -28,18 +28,17 @@ def main():
     print("balanced probability at v = n^2/2 against 2/(e 2^n):")
     for n in range(10, 41, 10):
         exact = float(balanced_probability(n * n // 2, n))
-        approx = asymptotic_q(n)
+        approx = 2 / (math.e * 2**n)
         print(f"  n = {n:2d}: exact {exact:.3e}, asymptotic {approx:.3e}, "
               f"ratio {exact / approx:.4f}")
     print()
 
-    print("survivor expectation when sampling only half the edge budget:")
+    print("expected survivors when sampling only half the edge budget:")
     for n in (4, 6, 8):
-        v = 2 * max(2, math.ceil(n * n / 4))
-        m = halved_edge_count(n)
-        bounds = expected_proper_upper_bound(v, n, m)
-        print(f"  n = {n}: v = {v}, m = {m}, "
-              f"2^v (1-q)^m = {bounds.tight:.4g}, crude e-bound = {bounds.crude:.4g}")
+        params = AlterationParams.for_edge_size(n, seed=0)
+        v, m = params.v, params.m_prime
+        expected = expected_survivor_count(v, n, m)
+        print(f"  n = {n}: v = {v}, m = {m}, expected survivors {float(expected):.6g}")
 
 
 if __name__ == "__main__":

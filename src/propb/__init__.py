@@ -10,11 +10,10 @@ arithmetic, checked by exhaustive enumeration where feasible.
 from propb.alteration import (
     AlterationParams,
     RetriesExhaustedError,
-    asymptotic_q,
     balanced_probability,
     derive_seed,
     erdos_edge_count,
-    expected_proper_upper_bound,
+    expected_survivor_count,
     halved_edge_count,
     mono_probability,
     run_alteration,
@@ -65,7 +64,6 @@ __all__ = [
     "Hypergraph",
     "RetriesExhaustedError",
     "affine_plane_gf4",
-    "asymptotic_q",
     "balanced_probability",
     "check_line",
     "binomial",
@@ -75,7 +73,7 @@ __all__ = [
     "enumerate_proper",
     "enumeration_limit",
     "erdos_edge_count",
-    "expected_proper_upper_bound",
+    "expected_survivor_count",
     "fano",
     "gf4_add",
     "gf4_mul",

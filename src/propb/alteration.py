@@ -8,14 +8,13 @@ monochromatic sampled edge or is a survivor and hits its own blocking edge.
 The run checks exactly that against the materialized survivor list, so the
 only census is the one of the sampled edges.
 
-Exact arithmetic everywhere it matters: the monochromatic-edge
-probabilities are rationals, the weights dyadic; only the asymptotic
-formulas and the expectation bounds live in floating point (log space).
+Exact arithmetic throughout: the monochromatic-edge probabilities and
+the expected survivor count are rationals, the weights dyadic, and the
+classical edge count an integer ceiling taken in fixed point.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -26,6 +25,12 @@ from propb.formats import MAX_VERTICES
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# floor((e*ln2/4) * 2**256), from 120-digit `decimal` values of e and ln 2.
+# Rounding down loses less than n*n*2**n / 2**256 < 2**-150 for n <= 90, far
+# under the smallest fractional part of (e*ln2/4) * n*n * 2**n there (0.011,
+# at n = 15), so the integer ceiling below is the exact one.
+_E_LN2_OVER_4 = 0x78963B3090BE0977B159F9A838444251E7469589C170BFB7277370A11D646D1A
 
 # Retry r of a run reseeds with seed ^ (r * _RESEED_STEP) mod 2**64, so one
 # integer seed determines the whole retry sequence.
@@ -66,18 +71,11 @@ def balanced_probability(v: int, n: int) -> Fraction:
     return mono_probability(v // 2, v // 2, n)
 
 
-def asymptotic_q(n: int) -> float:
-    """Leading-order value of the balanced probability at v = n*n/2: 2/(e*2**n)."""
-    if n < 2:
-        raise ValueError("edge size must be at least 2")
-    return 2.0 / (math.e * 2.0 ** n)
-
-
 def erdos_edge_count(n: int) -> int:
     """Classical first-moment edge count, ceil((e*ln2/4) * n*n * 2**n)."""
     if n < 2:
         raise ValueError("edge size must be at least 2")
-    return math.ceil(math.e * math.log(2.0) / 4.0 * n * n * 2.0 ** n)
+    return -(-_E_LN2_OVER_4 * (n * n << n) >> 256)
 
 
 def halved_edge_count(n: int) -> int:
@@ -85,44 +83,27 @@ def halved_edge_count(n: int) -> int:
     return (erdos_edge_count(n) + 1) // 2
 
 
-class ExpectationBounds(NamedTuple):
-    """Upper bounds on the expected number of surviving colourings."""
+def expected_survivor_count(v: int, n: int, m: int) -> Fraction:
+    """Exact expected number of proper colourings of m uniform n-edges on v vertices.
 
-    tight: float  # 2**v * (1 - q)**m
-    crude: float  # exp(v*ln2 - q*m)
-    log_tight: float
-    log_crude: float
-
-
-def expected_proper_upper_bound(v: int, n: int, m: int) -> ExpectationBounds:
-    """Both survivor-expectation bounds, evaluated in log space.
-
-    Uses the balanced probability q = balanced_probability(v, n); since the
-    balanced split minimizes the monochromatic chance, 2**v * (1-q)**m bounds
-    the expected survivor count for m independent uniform edges, and
-    1-t <= exp(-t) gives the cruder closed form.
+    The expectation of `sample_uniform_edges(v, n, m, seed)`'s census over
+    seeds.  A colouring with k red vertices survives one edge with chance
+    (D - C(k, n) - C(v-k, n)) / D, D = C(v, n), so the sum over colourings
+    is one integer over D**m.
     """
+    if n < 2:
+        raise ValueError("edge size must be at least 2")
+    if v < n:
+        raise ValueError("fewer vertices than the edge size")
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    q = float(balanced_probability(v, n))
-    ln2 = math.log(2.0)
-    if q == 1.0 and m > 0:
-        log_tight = -math.inf
-    else:
-        log_tight = v * ln2 + m * math.log1p(-q)
-    log_crude = v * ln2 - q * m
-    if m == 0:
-        tight = math.ldexp(1.0, v)
-    else:
-        tight = _safe_exp(log_tight)
-    return ExpectationBounds(tight, _safe_exp(log_crude), log_tight, log_crude)
+    from fractions import Fraction
 
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    d = binomial(v, n)
+    total = sum(
+        binomial(v, k) * (d - binomial(k, n) - binomial(v - k, n)) ** m for k in range(v + 1)
+    )
+    return Fraction(total, d**m)
 
 
 def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
@@ -201,8 +182,7 @@ class AlterationParams(_Value):
         v is twice that, so half the vertices always carry one colour and a
         blocking edge can be carved from the majority class.  Negative seeds
         are rejected: random.Random seeds on abs(seed), so -s would repeat s.
-        So is an n whose v exceeds the document cap `MAX_VERTICES`, before
-        any float is computed.
+        So is an n whose v exceeds the document cap `MAX_VERTICES`.
         """
         if n < 2:
             raise ValueError("edge size must be at least 2")

@@ -154,24 +154,16 @@ def _walk_lines(text: str) -> Hypergraph:
     if v > MAX_VERTICES:
         raise DocumentError(f"line {lineno}: vertex count {v} exceeds the cap of {MAX_VERTICES}")
 
-    # A line's keys are its vertex bits, read through the table.  A line
-    # with a token the table lacks (``007``, ``+1``, ``-1``, ``x``) is read
-    # by `int` and range-checked after the order check, as the messages
-    # promise.  Either key list is strictly increasing when the vertices are.
-    bit_of = {str(u): 1 << u for u in range(v)}
+    # Every token is read by `int` (so ``007`` and ``+1`` are vertices 7 and
+    # 1), and the range is checked after the order check, as the messages
+    # promise.  Canonical text is read by `_read_columns` before this walk.
     masks: list[int] = []
     seen: set[int] = set()
     for lineno, line in rows[1:]:
-        tokens = line.split()
         try:
-            keys = [bit_of[tok] for tok in tokens]
-            numbers = False
-        except KeyError:
-            try:
-                keys = [int(tok) for tok in tokens]
-            except ValueError as exc:
-                raise DocumentError(f"line {lineno}: non-numeric vertex index") from exc
-            numbers = True
+            keys = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise DocumentError(f"line {lineno}: non-numeric vertex index") from exc
         if len(keys) < 2:
             raise DocumentError(f"line {lineno}: edge has fewer than 2 vertices")
         prev = keys[0] - 1
@@ -179,11 +171,9 @@ def _walk_lines(text: str) -> Hypergraph:
             if key <= prev:
                 raise DocumentError(f"line {lineno}: vertex indices must be strictly increasing")
             prev = key
-        if numbers:
-            if keys[0] < 0 or keys[-1] >= v:
-                raise DocumentError(f"line {lineno}: vertex index out of range")
-            keys = [1 << u for u in keys]
-        mask = sum(keys)
+        if keys[0] < 0 or keys[-1] >= v:
+            raise DocumentError(f"line {lineno}: vertex index out of range")
+        mask = sum(1 << u for u in keys)
         if mask in seen:
             raise DocumentError(f"line {lineno}: duplicate edge line")
         seen.add(mask)

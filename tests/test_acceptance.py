@@ -16,7 +16,7 @@ from propb import (
     balanced_probability,
     derive_h8,
     enumerate_proper,
-    expected_proper_upper_bound,
+    expected_survivor_count,
     fano,
     is_edge_critical,
     is_proper,
@@ -172,21 +172,21 @@ def test_criterion_6_exact_tracks_asymptotic():
     assert elapsed < budget
 
 
-def test_criterion_7_tight_bound_beats_crude():
+def test_criterion_7_exact_expectation_below_balanced_bound():
     budget = 1.0
     started = time.perf_counter()
     rng = random.Random(77)
     failures = 0
-    for _ in range(1000):
+    for _ in range(200):
         v = 2 * rng.randint(2, 20)
         n = rng.randint(2, max(2, min(14, v // 2)))
-        m = rng.randint(1, 10**6)
-        bounds = expected_proper_upper_bound(v, n, m)
-        if not bounds.log_tight < bounds.log_crude:
+        m = rng.randint(1, 500)
+        expected = expected_survivor_count(v, n, m)
+        if not expected < 2**v * (1 - balanced_probability(v, n)) ** m:
             failures += 1
     elapsed = time.perf_counter() - started
     ok = failures == 0 and elapsed < budget
-    verdict(7, "expectation-bounds", ok, elapsed, budget)
+    verdict(7, "survivor-expectation", ok, elapsed, budget)
     assert failures == 0
     assert elapsed < budget
 

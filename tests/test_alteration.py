@@ -1,9 +1,9 @@
 """Randomized pipeline plus the exact probability helpers feeding it."""
 
-import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,12 +14,11 @@ from propb import (
     Colouring,
     Hypergraph,
     RetriesExhaustedError,
-    asymptotic_q,
     balanced_probability,
     derive_seed,
     enumerate_proper,
     erdos_edge_count,
-    expected_proper_upper_bound,
+    expected_survivor_count,
     halved_edge_count,
     is_proper,
     mono_probability,
@@ -71,64 +70,89 @@ def test_balanced_split_minimizes_mono_probability():
                 assert mono_probability(v1, v - v1, n) >= q
 
 
-def test_asymptotic_q_tracks_exact_probability():
-    big = (10 * 10 + 3) // 4
-    ratio = float(balanced_probability(2 * big, 10)) / asymptotic_q(10)
-    assert 0.8 < ratio < 1.2
-    assert asymptotic_q(11) == asymptotic_q(10) / 2
-    with pytest.raises(ValueError):
-        asymptotic_q(1)
-
-
 def test_edge_counts():
-    table = {2: (8, 4), 3: (34, 17), 4: (121, 61), 5: (377, 189), 6: (1086, 543), 7: (2955, 1478)}
+    table = {
+        2: (8, 4), 3: (34, 17), 4: (121, 61), 5: (377, 189), 6: (1086, 543), 7: (2955, 1478),
+        8: (7718, 3859), 43: (7661021414959973, 3830510707479987),
+        90: (4723289663948385820357675416891, 2361644831974192910178837708446),
+    }
     for n, (m, m_prime) in table.items():
         assert erdos_edge_count(n) == m
         assert halved_edge_count(n) == m_prime
-    for n in range(2, 13):
+    for n in range(2, 91):
         assert 2 * halved_edge_count(n) - erdos_edge_count(n) in (0, 1)
     with pytest.raises(ValueError):
         erdos_edge_count(1)
 
 
-def test_expected_proper_upper_bound_against_exact_rational():
-    oracle = float(Fraction(2**8) * Fraction(34, 35) ** 61)
-    bounds = expected_proper_upper_bound(8, 4, 61)
-    assert math.isclose(bounds.tight, oracle, rel_tol=1e-12)
-    assert bounds.tight < bounds.crude
-    assert bounds.log_tight < bounds.log_crude
+def test_erdos_edge_count_is_the_decimal_ceiling():
+    from decimal import ROUND_CEILING, Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 120
+        constant = Decimal(1).exp() * Decimal(2).ln() / 4
+        assert alteration._E_LN2_OVER_4 == int(constant * 2**256)
+        for n in range(2, 91):
+            exact = constant * n * n * 2**n
+            # far from an integer, so 120 digits settle the ceiling
+            assert Decimal("1e-3") < exact % 1 < 1 - Decimal("1e-3")
+            assert erdos_edge_count(n) == int(exact.to_integral_value(rounding=ROUND_CEILING))
 
 
-def test_expected_proper_upper_bound_edge_cases():
-    zero = expected_proper_upper_bound(8, 4, 0)
-    assert zero.tight == 256.0
-    assert math.isclose(zero.crude, 256.0, rel_tol=1e-12)
-    # size-1 edges are always monochromatic, so q = 1 and the bound collapses
-    sure = expected_proper_upper_bound(2, 1, 5)
-    assert sure.tight == 0.0
-    assert sure.log_tight == -math.inf
-    with pytest.raises(ValueError):
-        expected_proper_upper_bound(8, 4, -1)
+def brute_force_expectation(v, n, m):
+    """Average census of h over every ordered sample of m n-subsets of v vertices."""
+    # bit c of proper[i] is set when colouring c (its red mask) splits edge i
+    edges = [sum(1 << u for u in e) for e in combinations(range(v), n)]
+    proper = [sum(1 << c for c in range(1 << v) if e & c not in (0, e)) for e in edges]
+    everything = (1 << (1 << v)) - 1
+    total = 0
+    for sample in product(proper, repeat=m):
+        survivors = everything
+        for colourings in sample:
+            survivors &= colourings
+        total += survivors.bit_count()
+    return Fraction(total, len(edges) ** m)
+
+
+def test_expected_survivor_count_matches_brute_force():
+    assert expected_survivor_count(4, 2, 2) == Fraction(14, 3)
+    assert expected_survivor_count(6, 3, 2) == Fraction(192, 5)
+    assert expected_survivor_count(6, 2, 3) == Fraction(2096, 225)
+    for v in range(2, 7):
+        for n in range(2, v + 1):
+            for m in range(4):
+                assert expected_survivor_count(v, n, m) == brute_force_expectation(v, n, m), (v, n, m)
+    for v, n, m in ((4, 2, 6), (5, 4, 7)):
+        assert expected_survivor_count(v, n, m) == brute_force_expectation(v, n, m), (v, n, m)
+
+
+def test_expected_survivor_count_edge_cases():
+    for v, n in ((2, 2), (8, 4), (26, 7)):
+        assert expected_survivor_count(v, n, 0) == 2**v
+    # an edge on every vertex leaves exactly the colourings that split it
+    assert expected_survivor_count(5, 5, 3) == 30
+    assert type(expected_survivor_count(8, 4, 61)) is Fraction
+    # the n=8 run samples 3859 edges on 32 vertices; seed 5 kept 58 938
+    assert int(expected_survivor_count(32, 8, 3859)) == 61136
+    for v, n, m in ((8, 1, 3), (3, 4, 1), (8, 4, -1)):
+        with pytest.raises(ValueError):
+            expected_survivor_count(v, n, m)
 
 
 @given(
-    v=st.integers(min_value=2, max_value=40).map(lambda k: 2 * k),
-    n=st.integers(min_value=2, max_value=14),
-    m=st.integers(min_value=1, max_value=10**6),
+    v=st.integers(min_value=2, max_value=20).map(lambda k: 2 * k),
+    n=st.integers(min_value=2, max_value=40),
+    m=st.integers(min_value=0, max_value=2000),
 )
 @settings(max_examples=100)
 @example(v=28, n=14, m=1)
-def test_tight_bound_never_exceeds_crude(v, n, m):
-    if n > v // 2:
-        n = v // 2
-    bounds = expected_proper_upper_bound(v, n, m)
-    assert bounds.log_tight <= bounds.log_crude
-    assert bounds.tight <= bounds.crude
-    # log_crude - log_tight is m*(q**2/2 + q**3/3 + ...); at (28, 14, 1) that
-    # is about 1e-15, below the float spacing at 19.4, and the two are equal.
-    q = float(balanced_probability(v, n))
-    if m * q * q / 2 > 8 * math.ulp(max(abs(bounds.log_crude), q * m)):
-        assert bounds.log_tight < bounds.log_crude
+def test_expected_survivor_count_below_balanced_bound(v, n, m):
+    n = min(n, v)
+    expected = expected_survivor_count(v, n, m)
+    # the balanced split is the least monochromatic, so 2**v * (1-q)**m bounds
+    # the expectation; the all-one-colour splits always fall short of it
+    bound = 2**v * (1 - balanced_probability(v, n)) ** m
+    assert expected == bound if m == 0 else expected < bound
 
 
 def test_sampling_is_deterministic_and_well_formed():
