@@ -185,34 +185,45 @@ COMMANDS: dict[str, tuple[str, Callable[..., None], Callable[..., int]]] = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The top parser with every command's subparser, or with `only`'s alone."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top parser with every command's subparser; see `cli` for when it runs."""
     parser = argparse.ArgumentParser(
         prog="propb",
         description="Exact 2-colourability workbench for non-uniform hypergraphs.",
     )
-    # A narrowed parser's usage line, and so its errors, still names every
-    # command.  The full one keeps metavar None, which its `invalid choice`
-    # and `required` errors need to name the argument `command`.
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, handler) in COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        _, add_arguments, handler = COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"propb {name}")
+        add_arguments(parser)
+        parser.set_defaults(command=name, func=handler)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def cli(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the exit code instead of exiting.
 
-    Builds only the subparser of a command named first; see `build_parser`.
+    A call that names a command first is parsed by that command's parser
+    alone, built as `build_parser` builds its subparser.  `build_parser()`
+    parses a call that names no command, or whose command leaves arguments
+    over, so its usage line and errors name every command.  Either way the
+    outcome is what `build_parser().parse_args(argv)` gives.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()

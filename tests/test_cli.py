@@ -310,13 +310,17 @@ def test_runtime_imports_are_stdlib_only():
 
 
 # Per command: a valid call, -h, a missing argument, a bad int value, an extra
-# positional and an unknown option, where the command has such an argument.
+# positional and an unknown option, where the command has such an argument;
+# then the `--` separator, `--opt=value`, prefix abbreviation and a negative int.
 PARSE_CASES = {
     "construct": [["fano", "-o", "x.txt"], ["-h"], [], ["no-such-name"], ["fano", "extra"], ["fano", "--bogus"]],
-    "q": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
-    "check": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "q": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"], ["h.txt", "--", "x"]],
+    "check": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"], ["--", "-h"], ["-x", "--", "y"]],
     "count": [["h.txt"], ["-h"], [], ["h.txt", "extra"], ["h.txt", "--bogus"]],
-    "derive-h8": [["h.txt", "-o", "x.txt"], ["-h"], [], ["h.txt", "-o"], ["h.txt", "extra"], ["h.txt", "--bogus"]],
+    "derive-h8": [
+        ["h.txt", "-o", "x.txt"], ["-h"], [], ["h.txt", "-o"], ["h.txt", "extra"], ["h.txt", "--bogus"],
+        ["h.txt", "--out=y.txt"],
+    ],
     "alteration": [
         ["--n", "3", "--seed", "1", "--strict", "--max-retries", "4", "-o", "x.txt"],
         ["-h"],
@@ -325,12 +329,14 @@ PARSE_CASES = {
         ["--n", "3", "--seed", "1", "--max-retries", "1.5"],
         ["--n", "3", "--seed", "1", "extra"],
         ["--n", "3", "--seed", "1", "--bogus"],
+        ["--n=3", "--se", "2"],
+        ["--n", "-3", "--seed", "1"],
     ],
     "design-check": [
         ["h.txt", "--t", "2"], ["-h"], ["h.txt"], ["h.txt", "--t", "two"],
         ["h.txt", "--t", "2", "extra"], ["h.txt", "--t", "2", "--bogus"],
     ],
-    "verify-paper": [[], ["-h"], ["extra"], ["--bogus"]],
+    "verify-paper": [[], ["-h"], ["extra"], ["--bogus"], ["--"], ["-h", "x"]],
 }
 NAMED_ARGV = [[name, *rest] for name, cases in PARSE_CASES.items() for rest in cases]
 # argv that name no command, so the full parser answers them.
@@ -352,11 +358,26 @@ def test_commands_table_covers_every_command():
 
 @pytest.mark.parametrize("argv", NAMED_ARGV, ids=" ".join)
 def test_narrowed_parser_parses_like_the_full_one(argv, capsys, monkeypatch):
+    """`cli` answers a named call as `build_parser().parse_args` does."""
     monkeypatch.setenv("COLUMNS", "80")
-    narrowed = parse_outcome(build_parser(argv[0]), argv, capsys)
-    assert narrowed == parse_outcome(build_parser(), argv, capsys)
-    if not isinstance(narrowed[0], dict):  # a usage error or help exits in the parser
-        assert run(argv, capsys) == (narrowed[0], narrowed[1], narrowed[2])
+    seen = []
+    for name, (text, add_arguments, _) in list(COMMANDS.items()):
+        # One recorder per command, so `func` also says which command ran.
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        monkeypatch.setitem(COMMANDS, name, (text, add_arguments, record))
+    expected, out, err = parse_outcome(build_parser(), argv, capsys)
+    code, cli_out, cli_err = run(argv, capsys)
+    if isinstance(expected, dict):
+        assert seen == [expected]
+        assert (expected["command"], expected["func"]) == (argv[0], COMMANDS[argv[0]][2])
+        assert (code, cli_out, out) == (0, "", "")
+        assert err == "" and cli_err.startswith("elapsed-seconds: ") and cli_err.count("\n") == 1
+    else:  # a usage error or help exits in the parser
+        assert seen == []
+        assert (code, cli_out, cli_err) == (expected, out, err)
 
 
 @pytest.mark.parametrize("argv", UNNAMED_ARGV, ids=" ".join)
@@ -376,38 +397,46 @@ def test_full_parser_errors_name_the_command_argument(capsys):
     assert "propb: error: argument command: invalid choice: 'no-such-command'" in err
 
 
-def count_subparsers(monkeypatch):
+def count_parsers(monkeypatch):
+    """Record the `prog` of every `ArgumentParser` built from now on."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     return built
 
 
+FULL = ["propb", *(f"propb {name}" for name in COMMANDS)]
+
+
+# A call its command's parser accepts builds that parser and no other; a call
+# with no command first, or with arguments left over, builds the full parser.
 @pytest.mark.parametrize(
     ("argv", "expected"),
     [
-        (["verify-paper"], ["verify-paper"]),
-        (["check", "missing.txt"], ["check"]),
-        (["alteration", "-h"], ["alteration"]),
-        (["-h"], list(COMMANDS)),
-        (["no-such-command"], list(COMMANDS)),
-        ([], list(COMMANDS)),
+        (["verify-paper"], ["propb verify-paper"]),
+        (["check", "missing.txt"], ["propb check"]),
+        (["alteration", "-h"], ["propb alteration"]),
+        (["-h"], FULL),
+        (["no-such-command"], FULL),
+        ([], FULL),
+        (["check", "missing.txt", "extra"], ["propb check", *FULL]),
+        (["verify-paper", "--bogus"], ["propb verify-paper", *FULL]),
     ],
 )
 def test_cli_builds_only_the_named_subparser(argv, expected, capsys, monkeypatch):
-    built = count_subparsers(monkeypatch)
+    built = count_parsers(monkeypatch)
     run(argv, capsys)
     assert built == expected
 
 
 def test_cli_reads_sys_argv_to_choose_the_command(capsys, monkeypatch):
     expected = run(["verify-paper"], capsys)[:2]
-    built = count_subparsers(monkeypatch)
+    built = count_parsers(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["propb", "verify-paper"])
     assert run(None, capsys)[:2] == expected
-    assert built == ["verify-paper"]
+    assert built == ["propb verify-paper"]
