@@ -21,45 +21,36 @@ def mask_of(members: Iterable[int]) -> int:
 def bit_indices(x: int) -> list[int]:
     """Set-bit positions of x, ascending.
 
-    Walks the little-endian bytes of x with `compress`, which makes one
-    index object per byte, and expands each nonzero byte from a table:
-    cheap for edge masks and dense patterns.  Peeling the lowest set bit of
-    x instead would cost a big-int operation per bit.  Long ints with few
-    set bits, such as census blocks, go through `sparse_bit_indices`.
+    While `is_sparse(x, found)` holds for the `found` bits read so far, the
+    top bit left is read with `bit_length` and cleared, so each step costs
+    the length of what is left: a census block of 2**16 bits peels up to
+    256 bits.  The unpeeled rest is walked: its little-endian bytes go
+    through `compress`, which makes one index object per byte, and each
+    nonzero byte expands from a table.  Masks under 256 bits, such as
+    edges, have no budget and are walked whole.
     """
-    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    top: list[int] = []
+    rest = x
+    while rest and is_sparse(x, len(top)):
+        b = rest.bit_length() - 1
+        top.append(b)
+        rest ^= 1 << b
+    data = rest.to_bytes((rest.bit_length() + 7) // 8, "little")
     out: list[int] = []
     append = out.append
     for i in compress(range(len(data)), data):
         base = i << 3
         for j in _BYTE_BITS[data[i]]:
             append(base + j)
+    top.reverse()
+    out += top
     return out
 
 
 def is_sparse(x: int, count: int) -> bool:
-    """True iff x, of popcount `count`, has under one set bit per 128."""
-    return count << 7 < x.bit_length()
-
-
-def sparse_bit_indices(x: int, count: int) -> list[int]:
-    """Set-bit positions of x, ascending, given its popcount `count`.
-
-    `bit_indices` makes one index object per byte of x, which dominates for
-    a census block with a few proper colourings among 2**16.  Sparse x
-    (`is_sparse`) has its top bit read with `bit_length` and cleared, so each
-    step costs the length of what is left.  Denser x goes to `bit_indices`.
-    """
-    if not is_sparse(x, count):
-        return bit_indices(x)
-    out: list[int] = []
-    append = out.append
-    while x:
-        b = x.bit_length() - 1
-        append(b)
-        x ^= 1 << b
-    out.reverse()
-    return out
+    """True iff `count` is under x's sparse budget: one set bit per 256 of
+    its length, so none under 256 bits."""
+    return count < x.bit_length() >> 8
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

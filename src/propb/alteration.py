@@ -114,8 +114,11 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
     `getrandbits(k)` for the bit length k of the span v - i, redrawn while
     r >= v - i.  That is how `Random.randrange(i, v)` draws on CPython
     3.10-3.13, without its call overhead, so the hypergraph depends on the
-    seed only through `random.Random(seed).getrandbits`.
+    seed only through `random.Random(seed).getrandbits`.  Negative seeds are
+    rejected: random.Random seeds on abs(seed), so -s would repeat s.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if n < 2:
         raise ValueError("edge size must be at least 2")
     if v < n:

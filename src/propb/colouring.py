@@ -60,7 +60,6 @@ from propb._bits import (
     scan_bit_pattern,
     scan_ones,
     scan_popcount_pattern,
-    sparse_bit_indices,
 )
 from propb.core import Hypergraph, _Value
 
@@ -190,16 +189,19 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     balanced = 0
     red_masks: list[int] = []
     for base, proper in _proper_blocks(h):
-        count = proper.bit_count()
-        total += count
+        # Listing counts what it lists; only counting pays a popcount.
         if materialize:
-            js = sparse_bit_indices(proper, count)
+            js = bit_indices(proper)
+            total += len(js)
             red_masks.extend([base | j << v - t for j in js])
+        else:
+            total += proper.bit_count()
         if v % 2 == 0:
-            # A sparse listed block counts its few indices of the wanted
-            # popcount; any other block pays one AND with the 8 KiB pattern.
+            # A sparse listed block (under one colouring per 256 positions,
+            # `is_sparse`) counts its few indices of the wanted popcount;
+            # any other block pays one AND with the 8 KiB pattern.
             wanted = v // 2 - base.bit_count()
-            if materialize and is_sparse(proper, count):
+            if materialize and is_sparse(proper, len(js)):
                 balanced += list(map(int.bit_count, js)).count(wanted)
             else:
                 balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()

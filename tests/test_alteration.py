@@ -172,6 +172,8 @@ def test_sampling_validation():
         sample_uniform_edges(3, 4, 3, seed=0)
     with pytest.raises(ValueError):
         sample_uniform_edges(4, 2, -1, seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        sample_uniform_edges(10, 3, 5, seed=-7)
 
 
 def test_sampling_covers_every_subset():

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from propb import colouring
-from propb._bits import bit_indices, mask_of, scan_bit_pattern, scan_ones
+from propb._bits import bit_indices, is_sparse, mask_of, scan_bit_pattern, scan_ones
 from propb.alteration import AlterationParams, derive_seed, run_alteration, sample_uniform_edges
 from propb import (
     Colouring,
@@ -297,18 +297,22 @@ def affine_plane_gf5():
 
 
 def test_listing_agrees_with_counting(monkeypatch):
-    """Listing takes each block's count from its one popcount and reads the
-    block sparse (below one set bit per 128) or dense, and a sparse block
-    counts its balanced colourings from the listed indices; both sides of
-    that switch must list and count exactly what counting counts."""
+    """Listing takes each block's count from what it lists.  A block under
+    one set bit per 256 (`is_sparse`) is peeled whole and counts its
+    balanced colourings from the listed indices; a denser one is peeled up
+    to that budget and the rest walked, and its balanced colourings are
+    counted by pattern.  Both sides of that switch must list and count
+    exactly what counting counts."""
     sides = set()
-    extract = colouring.sparse_bit_indices
+    lister = colouring.bit_indices
 
-    def spy(x, count):
-        sides.add(count << 7 >= x.bit_length())
-        return extract(x, count)
+    def spy(x):
+        js = lister(x)
+        if is_sparse(x, 0):  # long enough to peel: a census block, not an edge
+            sides.add(is_sparse(x, len(js)))
+        return js
 
-    monkeypatch.setattr(colouring, "sparse_bit_indices", spy)
+    monkeypatch.setattr(colouring, "bit_indices", spy)
     rng = random.Random(17)
     cases = [make_hypergraph(0, []), make_hypergraph(1, []), make_hypergraph(2, [{0, 1}])]
     for n, seed in ((6, 0), (6, 3), (7, 1)):

@@ -23,7 +23,7 @@ from propb import (
     triangle,
     union,
 )
-from propb._bits import bit_indices, mask_members, mask_of, sparse_bit_indices
+from propb._bits import bit_indices, mask_members, mask_of
 
 
 def pascal_rows(limit):
@@ -148,16 +148,22 @@ def naive_bit_indices(x):
 BLOCK = 1 << 16  # bits in a census block of 16 scan vertices
 
 
-def spread_bits(count, seed):
-    """A BLOCK-bit int with `count` set bits, the top one included."""
+def spread_bits(count, seed, width=BLOCK):
+    """A `width`-bit int with `count` set bits, the top one included."""
     rng = random.Random(seed)
-    return mask_of(rng.sample(range(BLOCK - 1), count - 1)) | 1 << BLOCK - 1
+    return mask_of(rng.sample(range(width - 1), count - 1)) | 1 << width - 1
 
 
+# bit_indices peels up to width >> 8 top bits (is_sparse) and walks the rest.
 FIXED_INTS = (
     [("zero", 0)]
     + [(f"bit {i}", 1 << i) for i in (0, 7, 8, 63, 64, 65, 127, 128, BLOCK - 1)]
     + [(f"block with {count} bits", spread_bits(count, count)) for count in (1, 6, 200)]
+    + [
+        (f"{width} bits with budget{d:+d} set", spread_bits((width >> 8) + d, d, width))
+        for width in (BLOCK, 1 << 10)
+        for d in (-1, 0, 1)
+    ]
     + [("full block", (1 << BLOCK) - 1)]
 )
 
@@ -166,14 +172,13 @@ FIXED_INTS = (
 def test_bit_indices_matches_naive_on_fixed_ints(x):
     expected = naive_bit_indices(x)
     assert bit_indices(x) == expected
-    assert sparse_bit_indices(x, x.bit_count()) == expected
 
 
 @st.composite
 def wide_ints(draw):
     """Ints up to BLOCK bits wide: uniformly random bits (dense), or up to
     one set bit per 64 below the top one (sparse, on both sides of the
-    one-per-128 switch in sparse_bit_indices)."""
+    one-per-256 peel budget in bit_indices)."""
     width = draw(st.integers(min_value=1, max_value=BLOCK))
     rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
@@ -186,7 +191,6 @@ def wide_ints(draw):
 def test_bit_indices_matches_naive(x):
     expected = naive_bit_indices(x)
     assert bit_indices(x) == expected
-    assert sparse_bit_indices(x, x.bit_count()) == expected
 
 
 @st.composite
