@@ -22,7 +22,8 @@ def main():
     h4 = affine_plane_gf4()
     census = enumerate_proper(h4, materialize=True)
     print(f"plane: {h4.v} points, {h4.edge_count} lines, q = {q_value(h4)}")
-    print(f"proper colourings: {census.total_proper}, balanced: {census.balanced_count}")
+    balanced = sum(2 * red.bit_count() == h4.v for red in census.red_masks)
+    print(f"proper colourings: {census.total_proper}, balanced: {balanced}")
 
     pairs = pair_opposites(census.red_masks, h4.v)
     print(f"opposite pairs: {len(pairs)}")

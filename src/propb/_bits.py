@@ -21,9 +21,9 @@ def mask_of(members: Iterable[int]) -> int:
 def bit_indices(x: int) -> list[int]:
     """Set-bit positions of x, ascending.
 
-    While `is_sparse(x, found)` holds for the `found` bits read so far, the
-    top bit left is read with `bit_length` and cleared, so each step costs
-    the length of what is left: a census block of 2**16 bits peels up to
+    Up to one set bit per 256 of x's length is peeled from the top: the top
+    bit left is read with `bit_length` and cleared, so each step costs the
+    length of what is left, and a census block of 2**16 bits peels up to
     256 bits.  The unpeeled rest is walked: its little-endian bytes go
     through `compress`, which makes one index object per byte, and each
     nonzero byte expands from a table.  Masks under 256 bits, such as
@@ -31,7 +31,8 @@ def bit_indices(x: int) -> list[int]:
     """
     top: list[int] = []
     rest = x
-    while rest and is_sparse(x, len(top)):
+    budget = x.bit_length() >> 8
+    while rest and len(top) < budget:
         b = rest.bit_length() - 1
         top.append(b)
         rest ^= 1 << b
@@ -45,12 +46,6 @@ def bit_indices(x: int) -> list[int]:
     top.reverse()
     out += top
     return out
-
-
-def is_sparse(x: int, count: int) -> bool:
-    """True iff `count` is under x's sparse budget: one set bit per 256 of
-    its length, so none under 256 bits."""
-    return count < x.bit_length() >> 8
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -78,15 +73,3 @@ def scan_bit_pattern(b: int, t_bits: int) -> int:
         pattern |= pattern << width
         width <<= 1
     return pattern
-
-
-@lru_cache(maxsize=None)
-def scan_popcount_pattern(t_bits: int, count: int) -> int:
-    """Pattern whose bit j (j < 2**t_bits) is set iff popcount(j) == count."""
-    if count < 0 or count > t_bits:
-        return 0
-    if t_bits == 0:
-        return 1
-    low = scan_popcount_pattern(t_bits - 1, count)
-    high = scan_popcount_pattern(t_bits - 1, count - 1)
-    return low | (high << (1 << (t_bits - 1)))

@@ -37,7 +37,7 @@ colourings that contradict a vertex that propagation forced, since the edge
 that forced it is in them.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
-red).  `enumerate_proper` sums every proper block and can list its
+red).  `enumerate_proper` counts every proper block or lists its
 colourings as red masks (ints, like edges), while `is_two_colourable` stops
 at the first one and narrows it to its lex-first colouring.  Up to 23
 vertices there is no branch vertex and the search is one leaf (18 vertices
@@ -53,14 +53,7 @@ from itertools import repeat
 from operator import and_, itemgetter, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from propb._bits import (
-    bit_indices,
-    is_sparse,
-    mask_members,
-    scan_bit_pattern,
-    scan_ones,
-    scan_popcount_pattern,
-)
+from propb._bits import bit_indices, mask_members, scan_bit_pattern, scan_ones
 from propb.core import Hypergraph, _Value
 
 DEFAULT_ENUM_LIMIT = 28
@@ -127,7 +120,6 @@ class EnumerationReport(NamedTuple):
     """
 
     total_proper: int
-    balanced_count: int
     red_masks: tuple[int, ...] | None = None
 
     @property
@@ -182,36 +174,19 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
         )
     v = h.v
     if v == 0:
-        return EnumerationReport(1, 1, (0,) if materialize else None)
-
-    t = _block_bits(v)
-    total = 0
-    balanced = 0
-    red_masks: list[int] = []
-    for base, proper in _proper_blocks(h):
-        # Listing counts what it lists; only counting pays a popcount.
-        if materialize:
-            js = bit_indices(proper)
-            total += len(js)
-            red_masks.extend([base | j << v - t for j in js])
-        else:
-            total += proper.bit_count()
-        if v % 2 == 0:
-            # A sparse listed block (under one colouring per 256 positions,
-            # `is_sparse`) counts its few indices of the wanted popcount;
-            # any other block pays one AND with the 8 KiB pattern.
-            wanted = v // 2 - base.bit_count()
-            if materialize and is_sparse(proper, len(js)):
-                balanced += list(map(int.bit_count, js)).count(wanted)
-            else:
-                balanced += (proper & scan_popcount_pattern(t, wanted)).bit_count()
+        return EnumerationReport(1, (0,) if materialize else None)
 
     if not materialize:
-        return EnumerationReport(2 * total, 2 * balanced)
+        return EnumerationReport(2 * sum(proper.bit_count() for _, proper in _proper_blocks(h)))
+    # Listing takes its total from the list's length, not from popcounts.
+    shift = v - _block_bits(v)
+    red_masks = [
+        base | j << shift for base, proper in _proper_blocks(h) for j in bit_indices(proper)
+    ]
     full = (1 << v) - 1
     red_masks += [full ^ r for r in red_masks]
     red_masks.sort()
-    return EnumerationReport(2 * total, 2 * balanced, tuple(red_masks))
+    return EnumerationReport(len(red_masks), tuple(red_masks))
 
 
 def _block_bits(v: int) -> int:

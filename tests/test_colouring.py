@@ -6,11 +6,12 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from propb import colouring
-from propb._bits import bit_indices, is_sparse, mask_of, scan_bit_pattern, scan_ones
+from propb._bits import bit_indices, mask_of, scan_bit_pattern, scan_ones
 from propb.alteration import AlterationParams, derive_seed, run_alteration, sample_uniform_edges
 from propb import (
     Colouring,
@@ -32,16 +33,8 @@ from propb import (
 
 def census_oracle(h):
     """Trivially correct census: test every red mask with is_proper."""
-    total = balanced = 0
-    reds = []
-    for r in range(1 << h.v):
-        c = Colouring(h.v, r)
-        if is_proper(h, c):
-            total += 1
-            reds.append(r)
-            if 2 * r.bit_count() == h.v:
-                balanced += 1
-    return total, balanced, reds
+    reds = [r for r in range(1 << h.v) if is_proper(h, Colouring(h.v, r))]
+    return len(reds), reds
 
 
 def lex_first_oracle(h):
@@ -90,9 +83,9 @@ def test_enumerate_fixed_points():
     assert enumerate_proper(make_hypergraph(0, [])).total_proper == 1
     assert enumerate_proper(make_hypergraph(3, [])).total_proper == 8
     assert enumerate_proper(triangle()).total_proper == 0
-    plane = enumerate_proper(affine_plane_gf4())
+    plane = enumerate_proper(affine_plane_gf4(), materialize=True)
     assert plane.total_proper == 120
-    assert plane.balanced_count == 120
+    assert all(2 * r.bit_count() == 16 for r in plane.red_masks)
     # connected bipartite over 2 blocks: one split, two orientations
     path = enumerate_proper(make_hypergraph(18, [{i, i + 1} for i in range(17)]), materialize=True)
     assert path.red_masks == (0x15555, 0x2AAAA)
@@ -110,10 +103,9 @@ def test_enumerate_matches_per_colouring_oracle():
     rng = random.Random(2024)
     for _ in range(40):
         h = random_hypergraph(rng)
-        total, balanced, reds = census_oracle(h)
+        total, reds = census_oracle(h)
         report = enumerate_proper(h, materialize=True)
         assert report.total_proper == total
-        assert report.balanced_count == balanced
         assert list(report.red_masks) == sorted(reds)
 
 
@@ -246,10 +238,9 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
     randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(12)]
     randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(12)]
     for h in SPLIT_CASES + randoms:
-        total, balanced, reds = census_oracle(h)
+        total, reds = census_oracle(h)
         report = enumerate_proper(h, materialize=True)
         assert report.total_proper == total
-        assert report.balanced_count == balanced
         assert list(report.red_masks) == reds
     assert enumerate_proper(SPLIT_CASES[-1]).total_proper == 1 << 11
     # With no block bit every vertex is painted by the branch search, so no
@@ -284,7 +275,8 @@ def test_n8_census_is_pinned(monkeypatch):
     params = AlterationParams.for_edge_size(8, 5)
     h1 = sample_uniform_edges(params.v, 8, params.m_prime, derive_seed(5, 0))
     report = enumerate_proper(h1, materialize=True)
-    assert (report.total_proper, report.balanced_count) == (58938, 45426)
+    assert report.total_proper == 58938
+    assert sum(2 * r.bit_count() == 32 for r in report.red_masks) == 45426
     digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
     assert digest == "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
 
@@ -297,19 +289,18 @@ def affine_plane_gf5():
 
 
 def test_listing_agrees_with_counting(monkeypatch):
-    """Listing takes each block's count from what it lists.  A block under
-    one set bit per 256 (`is_sparse`) is peeled whole and counts its
-    balanced colourings from the listed indices; a denser one is peeled up
-    to that budget and the rest walked, and its balanced colourings are
-    counted by pattern.  Both sides of that switch must list and count
-    exactly what counting counts."""
+    """Listing takes its total from what it lists.  bit_indices peels up to
+    one set bit per 256 of a block's length: a block under that budget is
+    peeled whole, a denser one is peeled up to it and the rest walked.
+    Both sides of that switch must list exactly what counting counts."""
     sides = set()
     lister = colouring.bit_indices
 
     def spy(x):
         js = lister(x)
-        if is_sparse(x, 0):  # long enough to peel: a census block, not an edge
-            sides.add(is_sparse(x, len(js)))
+        budget = x.bit_length() >> 8
+        if budget:  # long enough to peel: a census block, not an edge
+            sides.add(len(js) < budget)
         return js
 
     monkeypatch.setattr(colouring, "bit_indices", spy)
@@ -324,9 +315,7 @@ def test_listing_agrees_with_counting(monkeypatch):
     for h in cases:
         listed = enumerate_proper(h, materialize=True)
         counted = enumerate_proper(h)
-        balanced = sum(2 * r.bit_count() == h.v for r in listed.red_masks)
         assert listed.total_proper == counted.total_proper == len(listed.red_masks)
-        assert listed.balanced_count == counted.balanced_count == balanced
     assert sides == {False, True}
 
 
@@ -486,7 +475,7 @@ def test_scattered_components_match_their_oracles():
         reds_by_count = [math.comb(isolated, r) for r in range(isolated + 1)]
         witness = 0
         for local, members in parts:
-            part_total, _, reds = census_oracle(local)
+            part_total, reds = census_oracle(local)
             total *= part_total
             convolved = [0] * (len(reds_by_count) + local.v)
             for r in reds:
@@ -498,9 +487,10 @@ def test_scattered_components_match_their_oracles():
                 witness = None
             else:
                 witness |= mask_of(members[u] for u in bit_indices(red))
-        balanced = reds_by_count[h.v // 2] if h.v % 2 == 0 else 0
-        report = enumerate_proper(h)
-        assert (report.total_proper, report.balanced_count) == (total, balanced)
+        assert enumerate_proper(h).total_proper == total
+        listed = enumerate_proper(h, materialize=True)
+        histogram = Counter(map(int.bit_count, listed.red_masks))
+        assert histogram == {r: n for r, n in enumerate(reds_by_count) if n}
         expected = (False, None) if witness is None else (True, Colouring(h.v, witness))
         assert is_two_colourable(h) == expected
 

@@ -154,7 +154,7 @@ def spread_bits(count, seed, width=BLOCK):
     return mask_of(rng.sample(range(width - 1), count - 1)) | 1 << width - 1
 
 
-# bit_indices peels up to width >> 8 top bits (is_sparse) and walks the rest.
+# bit_indices peels up to width >> 8 top bits, one per 256, and walks the rest.
 FIXED_INTS = (
     [("zero", 0)]
     + [(f"bit {i}", 1 << i) for i in (0, 7, 8, 63, 64, 65, 127, 128, BLOCK - 1)]
