@@ -1,8 +1,7 @@
-"""Bit-level helpers: vertex masks and the block patterns used by the scanner."""
+"""Bit-level helpers: vertex masks and their set bits."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from typing import Iterable
 
@@ -47,29 +46,3 @@ def bit_indices(x: int) -> list[int]:
     out += top
     return out
 
-
-def mask_members(mask: int) -> tuple[int, ...]:
-    """Vertices of an edge mask, ascending."""
-    return tuple(bit_indices(mask))
-
-
-@lru_cache(maxsize=None)
-def scan_ones(t_bits: int) -> int:
-    """All-ones pattern over a block of 2**t_bits scan positions."""
-    return (1 << (1 << t_bits)) - 1
-
-
-@lru_cache(maxsize=None)
-def scan_bit_pattern(b: int, t_bits: int) -> int:
-    """Pattern whose bit j (j < 2**t_bits) equals bit b of the integer j.
-
-    Requires b < t_bits.  Built by doubling: 2**b zeros, 2**b ones,
-    repeated out to the block width.
-    """
-    pattern = ((1 << (1 << b)) - 1) << (1 << b)
-    width = 1 << (b + 1)
-    size = 1 << t_bits
-    while width < size:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
-from propb._bits import mask_members
+from propb._bits import bit_indices
 from propb.colouring import Colouring, enumerate_proper, enumeration_limit
 from propb.core import DyadicValue, Hypergraph, _Value, binomial, q_value, union
 from propb.formats import MAX_VERTICES
@@ -239,7 +239,7 @@ class AlterationReport(NamedTuple):
     @property
     def killing_edges(self) -> tuple[frozenset[int], ...]:
         """The blocking edges as vertex sets, in survivor order."""
-        return tuple(frozenset(mask_members(m)) for m in self.killing_masks)
+        return tuple(frozenset(bit_indices(m)) for m in self.killing_masks)
 
 
 def _blocks_every_survivor(

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from propb._bits import mask_members, mask_of
+from propb._bits import bit_indices, mask_of
 from propb.colouring import enumerate_proper, is_two_colourable, pair_opposites
 from propb.constructions import affine_plane_gf4, derive_h8
 from propb.core import DyadicValue, Hypergraph, q_value, union
@@ -90,7 +90,7 @@ def is_edge_critical(h: Hypergraph) -> tuple[bool, frozenset[int] | None]:
         rest = Hypergraph(h.v, masks[:i] + masks[i + 1 :])
         colourable, _ = is_two_colourable(rest)
         if not colourable:
-            return False, frozenset(mask_members(mask))
+            return False, frozenset(bit_indices(mask))
     return True, None
 
 
@@ -164,7 +164,7 @@ def verify_paper_example(
 
     def blue_design() -> tuple[str, bool]:
         full = (1 << h4.v) - 1
-        design = design_check([mask_members(full ^ m) for m in red_masks], h4.v, 3)
+        design = design_check([bit_indices(full ^ m) for m in red_masks], h4.v, 3)
         if design.lam is None:
             return f"not a design (counterexample {sorted(design.counterexample)})", False
         shape = (design.lam, design.block_size, design.point_count)

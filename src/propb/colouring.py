@@ -53,7 +53,7 @@ from itertools import repeat
 from operator import and_, itemgetter, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from propb._bits import bit_indices, mask_members, scan_bit_pattern, scan_ones
+from propb._bits import bit_indices
 from propb.core import Hypergraph, _Value
 
 DEFAULT_ENUM_LIMIT = 28
@@ -156,7 +156,7 @@ def monochromatic_edges(h: Hypergraph, c: Colouring) -> list[frozenset[int]]:
     for mask in h.edge_masks:
         hit = mask & red
         if hit == mask or hit == 0:
-            out.append(frozenset(mask_members(mask)))
+            out.append(frozenset(bit_indices(mask)))
     return out
 
 
@@ -211,7 +211,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     key_base = shift - k
     key_mask = (1 << k) - 1
     head = (1 << key_base) - 1  # vertex 0 and the branch vertices
-    full = scan_ones(t)
+    full = (1 << (1 << t)) - 1
     red_pats, blue_pats = _block_patterns(t)
     # Key bit i is vertex key_base + i; sorting keys by their reversed bit
     # strings puts the lowest key vertex first and blue before red.
@@ -236,7 +236,7 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             reach |= grow
         for mask in h.edge_masks:
             if not mask & ~reach:
-                for u in mask_members(mask):
+                for u in bit_indices(mask):
                     incident[u].append(mask)
 
     def paint(red: int, blue: int, u: int, as_red: bool) -> tuple[int, int] | None:
@@ -432,9 +432,19 @@ def _close(lows: Iterable[int], t: int, as_red: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _block_patterns(t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per block bit b < t, the block colourings with b red, then with b blue."""
-    red = tuple(scan_bit_pattern(b, t) for b in range(t))
-    return red, tuple(scan_ones(t) ^ p for p in red)
+    """Per block bit b < t, the block colourings with b red, then with b blue.
+
+    Bit j of the red pattern of b is bit b of j: 2**b zeros, then 2**b
+    ones, doubled out to the 2**t block colourings.
+    """
+    red = []
+    for b in range(t):
+        pattern = ((1 << (1 << b)) - 1) << (1 << b)
+        for k in range(b + 1, t):
+            pattern |= pattern << (1 << k)
+        red.append(pattern)
+    full = (1 << (1 << t)) - 1
+    return tuple(red), tuple(full ^ p for p in red)
 
 
 def _subset_or(table: dict[int, int], pairs: list[tuple[int, int]], size: int) -> list[int]:

@@ -17,7 +17,7 @@ from collections import Counter
 from functools import total_ordering
 from typing import TYPE_CHECKING, Any, Iterable
 
-from propb._bits import mask_members
+from propb._bits import bit_indices
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -207,7 +207,7 @@ class Hypergraph(_Value):
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
         """Edges as vertex sets, in canonical order."""
-        return tuple(frozenset(mask_members(m)) for m in self.edge_masks)
+        return tuple(frozenset(bit_indices(m)) for m in self.edge_masks)
 
 
 def make_hypergraph(v: int, edges: Iterable[Iterable[int]]) -> Hypergraph:

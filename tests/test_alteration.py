@@ -29,7 +29,7 @@ from propb import (
     union,
 )
 from propb import alteration
-from propb._bits import mask_members, mask_of
+from propb._bits import bit_indices, mask_of
 from propb.alteration import _blocks_every_survivor
 
 
@@ -316,7 +316,7 @@ def test_killing_edges_sit_inside_majority_classes():
     for red, kill, mask in zip(report.survivor_masks, report.killing_edges, report.killing_masks):
         majority = red if 2 * red.bit_count() >= v else red ^ ((1 << v) - 1)
         assert len(kill) == big
-        assert kill == frozenset(mask_members(majority)[:big])
+        assert kill == frozenset(bit_indices(majority)[:big])
         assert mask == mask_of(kill)
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from propb import colouring
-from propb._bits import bit_indices, mask_of, scan_bit_pattern, scan_ones
+from propb._bits import bit_indices, mask_of
 from propb.alteration import AlterationParams, derive_seed, run_alteration, sample_uniform_edges
 from propb import (
     Colouring,
@@ -248,15 +248,27 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
     assert bool(closed) == (block_bits > 0)
 
 
+def test_block_patterns_match_their_definition():
+    """Red pattern b has bit j equal to bit b of j, and blue is its
+    complement in the block, at every block width up to the kernel's."""
+    for t in range(17):
+        full = (1 << (1 << t)) - 1
+        red, blue = colouring._block_patterns(t)
+        assert len(red) == len(blue) == t
+        for b in range(t):
+            bits = f"{red[b]:0{1 << t}b}"[::-1]
+            assert bits == "".join("01"[j >> b & 1] for j in range(1 << t))
+            assert blue[b] == red[b] ^ full
+
+
 @pytest.mark.parametrize("t", range(17))
 def test_group_closure_matches_and_chains(t):
     """A key group's closure equals the OR of its sides' AND chains, in both
     colours, at every block width up to the kernel's."""
     rng = random.Random(t)
     top = (1 << t) - 1
-    full = scan_ones(t)
-    red_pats = [scan_bit_pattern(b, t) for b in range(t)]
-    blue_pats = [full ^ p for p in red_pats]
+    full = (1 << (1 << t)) - 1
+    red_pats, blue_pats = colouring._block_patterns(t)
     few = [mask_of(rng.sample(range(t), rng.randint(1, min(2, t)))) for _ in range(t)]
     many = [rng.getrandbits(t) for _ in range(t + 3)]
     # 0 has no block member, so its side's pattern is the whole block

@@ -14,8 +14,10 @@ from propb import (
     Hypergraph,
     binomial,
     fano,
+    is_edge_critical,
     make_hypergraph,
     min_edge_size,
+    monochromatic_edges,
     paper_example,
     q_value,
     run_alteration,
@@ -23,7 +25,7 @@ from propb import (
     triangle,
     union,
 )
-from propb._bits import bit_indices, mask_members, mask_of
+from propb._bits import bit_indices, mask_of
 
 
 def pascal_rows(limit):
@@ -193,6 +195,33 @@ def test_bit_indices_matches_naive(x):
     assert bit_indices(x) == expected
 
 
+def naive_members(m, v):
+    return frozenset(u for u in range(v) if m >> u & 1)
+
+
+# Masks of 256 bits or more, where bit_indices peels bits from the top.
+@pytest.mark.parametrize(
+    "make, v, shift",
+    [(triangle, 303, 300), (paper_example, 4096, 4080)],
+    ids=["triangle at 300-302 of 303", "paper example at 4080-4095 of 4096"],
+)
+def test_member_views_match_naive_on_wide_masks(make, v, shift):
+    masks = tuple(m << shift for m in make().edge_masks)
+    h = Hypergraph(v, masks)
+    naive_edges = tuple(naive_members(m, v) for m in masks)
+    assert h.edges == naive_edges
+    red = mask_of(range(shift, v, 2)) | 1
+    c = Colouring(v, red)
+    assert c.red == naive_members(red, v)
+    mono = monochromatic_edges(h, c)
+    assert mono and mono == [naive_members(m, v) for m in masks if m & red in (0, m)]
+    _, report = run_alteration(3, 0)
+    assert report._replace(killing_masks=masks).killing_edges == naive_edges
+    # A superset of the first edge is removable: the first edge still blocks.
+    extra = masks[0] | 1 << v - 1
+    assert is_edge_critical(Hypergraph(v, masks + (extra,))) == (False, naive_members(extra, v))
+
+
 @st.composite
 def edge_masks(draw):
     """Masks on up to 70 vertices, or on up to 4096 with the window in the
@@ -209,7 +238,7 @@ def edge_masks(draw):
 
 
 def canonical_sort(masks):
-    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), mask_members(m))))
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), bit_indices(m))))
 
 
 @given(edge_masks())

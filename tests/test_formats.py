@@ -22,7 +22,7 @@ from propb import (
     triangle,
 )
 from propb import formats
-from propb._bits import mask_members
+from propb._bits import bit_indices
 from propb.formats import _CHUNK_LINES, MAX_VERTICES
 
 
@@ -40,7 +40,7 @@ def test_example_document_shape():
 
 def reference_serialize(h):
     """Per-edge writer: one line of sorted member indices per edge."""
-    lines = [f"p {h.v} {h.edge_count}"] + [" ".join(map(str, mask_members(m))) for m in h.edge_masks]
+    lines = [f"p {h.v} {h.edge_count}"] + [" ".join(map(str, bit_indices(m))) for m in h.edge_masks]
     return "\n".join(lines) + "\n"
 
 
