@@ -27,7 +27,6 @@ from propb.analysis import (
 from propb.colouring import (
     Colouring,
     enumerate_proper,
-    enumeration_limit,
     is_proper,
     is_two_colourable,
     monochromatic_edges,
@@ -71,7 +70,6 @@ __all__ = [
     "derive_seed",
     "design_check",
     "enumerate_proper",
-    "enumeration_limit",
     "erdos_edge_count",
     "expected_survivor_count",
     "fano",

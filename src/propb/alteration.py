@@ -19,7 +19,7 @@ import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from propb._bits import bit_indices
-from propb.colouring import Colouring, enumerate_proper, enumeration_limit
+from propb.colouring import ENUM_LIMIT, Colouring, enumerate_proper
 from propb.core import DyadicValue, Hypergraph, _Value, binomial, q_value, union
 from propb.formats import MAX_VERTICES
 
@@ -275,10 +275,9 @@ def run_alteration(
     searched again.
     """
     params = AlterationParams.for_edge_size(n, seed, max_retries, strict)
-    limit = enumeration_limit()
-    if params.v > limit:
+    if params.v > ENUM_LIMIT:
         raise ValueError(
-            f"edge size {n} needs {params.v} vertices, above the enumeration limit ({limit})"
+            f"edge size {n} needs {params.v} vertices, above the enumeration limit ({ENUM_LIMIT})"
         )
 
     for retries_used in range(params.max_retries + 1):

@@ -43,11 +43,14 @@ at the first one and narrows it to its lex-first colouring.  Up to 23
 vertices there is no branch vertex and the search is one leaf (18 vertices
 give 2 keys); 26 vertices give 3 branch vertices, so at most 8 leaves of 64
 keys, and 32 give 9 and 512.
+
+`enumerate_proper` refuses more than ENUM_LIMIT = 32 vertices, and a
+listing stops with an error once it would hold more than LIST_LIMIT = 2**23
+colourings; neither bounds the decision.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import repeat
 from operator import and_, itemgetter, rshift
@@ -56,8 +59,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from propb._bits import bit_indices
 from propb.core import Hypergraph, _Value
 
-DEFAULT_ENUM_LIMIT = 28
-ENUM_LIMIT_ENV = "PROPB_ENUM_LIMIT"
+# Vertex ceiling for counting and listing: about 2**31 colourings to scan.
+ENUM_LIMIT = 32
+# Listed colourings, complements included, at about 50 bytes each.
+LIST_LIMIT = 1 << 23
 
 _BLOCK_BITS = 16
 # Key bits per table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB per
@@ -72,24 +77,6 @@ Side = tuple[int, int]
 # The edges that share their bits below the block, as the census files
 # them: (key, sides), every side with that key.
 Entry = tuple[int, list[Side]]
-
-
-def enumeration_limit() -> int:
-    """Vertex ceiling for exhaustive enumeration (env override: PROPB_ENUM_LIMIT).
-
-    Raises ValueError naming the variable when it is set to anything but a
-    nonnegative integer.
-    """
-    raw = os.environ.get(ENUM_LIMIT_ENV)
-    if not raw:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"{ENUM_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
-    return limit
 
 
 class Colouring(_Value):
@@ -163,13 +150,14 @@ def monochromatic_edges(h: Hypergraph, c: Colouring) -> list[frozenset[int]]:
 def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationReport:
     """Exact count (and optionally the red masks) of the proper colourings of h.
 
-    Counts cover all 2**v colourings.  Refuses hypergraphs above the
-    enumeration limit; use is_two_colourable for a yes/no answer there.
+    Counts cover all 2**v colourings.  Refuses hypergraphs above ENUM_LIMIT
+    vertices; use is_two_colourable for a yes/no answer there.  A listing
+    is built block by block and refused as soon as it would hold more than
+    LIST_LIMIT colourings; counting has no such cap.
     """
-    limit = enumeration_limit()
-    if h.v > limit:
+    if h.v > ENUM_LIMIT:
         raise ValueError(
-            f"{h.v} vertices exceeds the exhaustive enumeration limit ({limit}); "
+            f"{h.v} vertices exceeds the exhaustive enumeration limit ({ENUM_LIMIT}); "
             "use is_two_colourable for a decision"
         )
     v = h.v
@@ -180,9 +168,14 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
         return EnumerationReport(2 * sum(proper.bit_count() for _, proper in _proper_blocks(h)))
     # Listing takes its total from the list's length, not from popcounts.
     shift = v - _block_bits(v)
-    red_masks = [
-        base | j << shift for base, proper in _proper_blocks(h) for j in bit_indices(proper)
-    ]
+    red_masks: list[int] = []
+    for base, proper in _proper_blocks(h):
+        red_masks += [base | j << shift for j in bit_indices(proper)]
+        if 2 * len(red_masks) > LIST_LIMIT:
+            raise ValueError(
+                f"more than {LIST_LIMIT} proper colourings to list (the listing limit); "
+                "count them instead"
+            )
     full = (1 << v) - 1
     red_masks += [full ^ r for r in red_masks]
     red_masks.sort()

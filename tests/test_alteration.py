@@ -345,7 +345,7 @@ def test_strict_mode_exhaustion():
 
 def test_run_refuses_unenumerable_sizes():
     with pytest.raises(ValueError, match="enumeration limit"):
-        run_alteration(8, 0)
+        run_alteration(9, 0)
 
 
 def test_run_is_deterministic():

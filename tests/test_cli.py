@@ -155,7 +155,7 @@ def test_alteration_exhaustion_is_exit_1(capsys):
 
 
 def test_alteration_over_limit_is_exit_2(capsys):
-    code, _, err = run(["alteration", "--n", "8", "--seed", "0"], capsys)
+    code, _, err = run(["alteration", "--n", "9", "--seed", "0"], capsys)
     assert code == 2
     assert "enumeration limit" in err
 
@@ -224,26 +224,29 @@ def test_usage_and_io_errors(tmp_path, capsys):
     assert one_error_line(err)
 
 
-def test_env_limit_applies_to_cli(tmp_path, capsys, monkeypatch):
-    fano_path = tmp_path / "fano.txt"
-    run(["construct", "fano", "-o", str(fano_path)], capsys)
-    monkeypatch.setenv("PROPB_ENUM_LIMIT", "6")
-    code, _, err = run(["count", str(fano_path)], capsys)
-    assert code == 2
-    assert "error:" in err
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_env_limit_is_one_error_line(tmp_path, capsys, monkeypatch, raw):
-    fano_path = tmp_path / "fano.txt"
-    run(["construct", "fano", "-o", str(fano_path)], capsys)
+@pytest.mark.parametrize("raw", ["6", "abc"])
+def test_enumeration_limit_ignores_the_environment(tmp_path, capsys, monkeypatch, raw):
+    """The limit is a constant: the variable that once overrode it is ignored."""
     monkeypatch.setenv("PROPB_ENUM_LIMIT", raw)
-    code, out, err = run(["count", str(fano_path)], capsys)
-    assert code == 2
-    assert out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: PROPB_ENUM_LIMIT must be a nonnegative integer, got '{raw}'"]
-    assert "Traceback" not in err
+    fano_path = tmp_path / "fano.txt"
+    run(["construct", "fano", "-o", str(fano_path)], capsys)
+    assert run(["count", str(fano_path)], capsys)[:2] == (0, "0\n")
+    at_limit = write_doc(tmp_path, "v32.txt", "p 32 1\n0 1\n")
+    assert run(["count", at_limit], capsys)[:2] == (0, f"{1 << 31}\n")
+    past_limit = write_doc(tmp_path, "v33.txt", "p 33 1\n0 1\n")
+    code, out, err = run(["count", past_limit], capsys)
+    assert (code, out) == (2, "")
+    assert one_error_line(err) == (
+        "error: 33 vertices exceeds the exhaustive enumeration limit (32); "
+        "use is_two_colourable for a decision"
+    )
+
+
+def test_listing_past_its_limit_is_one_error_line(tmp_path, capsys):
+    path = write_doc(tmp_path, "v28.txt", "p 28 1\n0 1\n")
+    code, out, err = run(["derive-h8", path], capsys)
+    assert (code, out) == (2, "")
+    assert "count them instead" in one_error_line(err)
 
 
 def one_error_line(err):

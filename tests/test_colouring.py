@@ -17,7 +17,6 @@ from propb import (
     Colouring,
     affine_plane_gf4,
     enumerate_proper,
-    enumeration_limit,
     fano,
     is_proper,
     is_two_colourable,
@@ -146,15 +145,21 @@ def test_materialized_list_closed_under_complement():
     assert [c.red_mask for c in report.colourings] == sorted(masks)
 
 
-def test_enumeration_limit_refusal(monkeypatch):
-    big = make_hypergraph(29, [{0, 1}])
-    with pytest.raises(ValueError, match="is_two_colourable"):
+def test_enumeration_limit_refusal():
+    big = make_hypergraph(33, [{0, 1}])
+    with pytest.raises(ValueError, match=r"33 vertices exceeds .* limit \(32\); use is_two_colourable"):
         enumerate_proper(big)
-    monkeypatch.setenv("PROPB_ENUM_LIMIT", "6")
-    with pytest.raises(ValueError):
-        enumerate_proper(fano())
-    monkeypatch.setenv("PROPB_ENUM_LIMIT", "7")
-    assert enumerate_proper(fano()).total_proper == 0
+    assert enumerate_proper(make_hypergraph(32, [{0, 1}])).total_proper == 1 << 31
+
+
+@pytest.mark.parametrize("v", [28, 32])
+def test_listing_limit_refuses_at_once(v):
+    """One 2-edge leaves half of all colourings proper: far past the
+    listing limit, which stops the listing after 2**22 red masks."""
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"more than 8388608 proper colourings .* count them"):
+        enumerate_proper(make_hypergraph(v, [{0, 1}]), materialize=True)
+    assert time.perf_counter() - started < 5.0
 
 
 def planted_dense(seed):
@@ -280,17 +285,36 @@ def test_group_closure_matches_and_chains(t):
             assert {5: colouring._close(lows, t, as_red)} == expected
 
 
-def test_n8_census_is_pinned(monkeypatch):
+N8_DIGEST = "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
+
+
+def n8_sample():
+    """The 32-vertex sampled edges of run_alteration(8, 5)."""
+    params = AlterationParams.for_edge_size(8, 5)
+    return sample_uniform_edges(params.v, 8, params.m_prime, derive_seed(5, 0))
+
+
+def test_n8_census_is_pinned():
     """The 32-vertex census of run_alteration(8, 5)'s sampled edges: 512
     branch leaves, recorded before the branch-tree tables."""
-    monkeypatch.setenv("PROPB_ENUM_LIMIT", "32")
-    params = AlterationParams.for_edge_size(8, 5)
-    h1 = sample_uniform_edges(params.v, 8, params.m_prime, derive_seed(5, 0))
-    report = enumerate_proper(h1, materialize=True)
+    report = enumerate_proper(n8_sample(), materialize=True)
     assert report.total_proper == 58938
     assert sum(2 * r.bit_count() == 32 for r in report.red_masks) == 45426
     digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
-    assert digest == "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
+    assert digest == N8_DIGEST
+
+
+def test_n8_census_agrees_across_splits(monkeypatch):
+    """The same census with 14 block bits instead of 16: vertex 0, 11 branch
+    vertices and 6 key vertices below the block, so up to 2048 leaves in
+    place of 512.  This checks how the kernel splits the vertices into
+    stages, not its edge logic, which both splits share."""
+    monkeypatch.setattr(colouring, "_BLOCK_BITS", 14)
+    monkeypatch.setattr(colouring, "_KEY_BITS", 6)
+    report = enumerate_proper(n8_sample(), materialize=True)
+    assert report.total_proper == 58938
+    digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
+    assert digest == N8_DIGEST
 
 
 def affine_plane_gf5():
@@ -329,15 +353,6 @@ def test_listing_agrees_with_counting(monkeypatch):
         counted = enumerate_proper(h)
         assert listed.total_proper == counted.total_proper == len(listed.red_masks)
     assert sides == {False, True}
-
-
-@pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
-def test_enumeration_limit_env_is_validated(monkeypatch, raw):
-    monkeypatch.setenv("PROPB_ENUM_LIMIT", raw)
-    with pytest.raises(ValueError, match="PROPB_ENUM_LIMIT must be a nonnegative integer"):
-        enumeration_limit()
-    with pytest.raises(ValueError, match="PROPB_ENUM_LIMIT"):
-        enumerate_proper(fano())
 
 
 def test_decision_agrees_with_enumeration():
@@ -560,9 +575,11 @@ def test_decision_past_the_enumeration_limit():
     budget = 10.0
     started = time.perf_counter()
     for h, red in PAST_LIMIT_CASES:
-        assert h.v > enumeration_limit()
         expected = (False, None) if red is None else (True, Colouring(h.v, mask_of(red)))
         assert is_two_colourable(h) == expected
+        # The 30-vertex cases lie within the census's reach: it must agree.
+        if h.v <= colouring.ENUM_LIMIT:
+            assert (enumerate_proper(h).total_proper > 0) == (red is not None)
     assert time.perf_counter() - started < budget
 
 
