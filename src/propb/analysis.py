@@ -125,6 +125,13 @@ def verify_paper_example(
     design.  Either part can be substituted to probe how the checks fail; a
     check whose computation raises ValueError fails with the message as its
     actual value.
+
+    The checks run only after h8 is derived when omitted, h4 is listed by
+    `enumerate_proper` and the two are joined; those steps raise ValueError
+    instead.  So `derive_h8(h4)` must succeed when h8 is omitted (h4 has at
+    least one vertex and only balanced proper colourings), h4 must have at
+    most ENUM_LIMIT vertices and LIST_LIMIT proper colourings, and h8 must
+    have h4's vertex count.
     """
     if h4 is None:
         h4 = affine_plane_gf4()

@@ -27,14 +27,15 @@ of the complement of S, so blue groups close downwards from those.  Smaller
 groups AND the colour patterns of each side's block members, sharing AND
 prefixes between neighbouring sides.
 
-The tables are built down the branch tree.  As soon as a node is painted, it
-starts from its parent's tables and folds in the sides whose branch members
-now all lie below its lowest free branch vertex, one test per set of branch
-members, unless they include one of the other colour.  A leaf reads every
-key from subset ORs: the red table's over the subsets of the key, the blue
-table's over the subsets of its complement.  The tables alone rule out
-colourings that contradict a vertex that propagation forced, since the edge
-that forced it is in them.
+Each edge is filed once, as its block-member mask S under its branch
+members and then its key.  The tables are built down the branch tree.  As
+soon as a node is painted, it starts from its parent's tables and folds in
+the edges whose branch members now all lie below its lowest free branch
+vertex, one test per set of branch members, unless they include one of the
+other colour.  A leaf reads every key from subset ORs: the red table's over
+the subsets of the key, the blue table's over the subsets of its
+complement.  The tables alone rule out colourings that contradict a vertex
+that propagation forced, since the edge that forced it is in them.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` counts every proper block or lists its
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, itemgetter, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from propb._bits import bit_indices
@@ -69,14 +69,11 @@ _BLOCK_BITS = 16
 # branch node, less the patterns a node shares with its parent.
 _KEY_BITS = 6
 
-# An edge as the census folds it: (S, key), where S holds its block members
+# An edge as _or_by_key folds it: (S, key), where S holds its block members
 # as block bits and key its key members as key bits.  Its red side is
 # monochromatic on the block colourings that contain S, its blue side on
 # those inside the complement of S.
 Side = tuple[int, int]
-# The edges that share their bits below the block, as the census files
-# them: (key, sides), every side with that key.
-Entry = tuple[int, list[Side]]
 
 
 class Colouring(_Value):
@@ -210,14 +207,16 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     # strings puts the lowest key vertex first and blue before red.
     keys = sorted(range(1 << k), key=lambda key: f"{key:0{k}b}"[::-1])
     pairs = [(x, x ^ 1 << i) for i in range(k) for x in range(1 << k) if x >> i & 1]
+    branch = head - 1  # vertices 1 .. key_base - 1
     incident: list[list[int]] = [[] for _ in range(v)]
+    edges_on: list[list[int]] = [[] for _ in range(key_base)]
     # Painting reaches the branch vertices and, through edges with one
     # member outside, whatever those edges force; each pass adds a key or
     # block vertex, so there are at most k + t + 1 of them.  An edge with
     # two members outside that closure never becomes unit or monochromatic
     # while branching, so it gets no incident entries.
-    reach = head
     if key_base > 1:  # propagation prunes branches; a lone leaf tests every edge itself
+        reach = head
         while True:
             grow = 0
             for mask in h.edge_masks:
@@ -231,6 +230,12 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
             if not mask & ~reach:
                 for u in bit_indices(mask):
                     incident[u].append(mask)
+        # The red-branch skip below reads each branch vertex's edges as
+        # their parts in reach, where every painted vertex lies; edges that
+        # agree there are listed once.
+        for mask in {mask & reach for mask in h.edge_masks}:
+            for u in bit_indices(mask & branch):
+                edges_on[u].append(mask)
 
     def paint(red: int, blue: int, u: int, as_red: bool) -> tuple[int, int] | None:
         """Paint u onto (red, blue) and propagate: the new (red, blue), or None on a conflict.
@@ -261,7 +266,10 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         return red, blue
 
     def fold(
-        runs: list[dict[int, list[Entry]]], opposite: int, table: dict[int, int], as_red: bool
+        runs: list[dict[int, dict[int, list[int]]]],
+        opposite: int,
+        table: dict[int, int],
+        as_red: bool,
     ) -> dict[int, int]:
         """OR the buckets in `runs` whose branch members miss `opposite` into a copy of `table`.
 
@@ -269,44 +277,34 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
         A key group of at least t sides is closed in t rounds; the rest
         take the AND chains of _or_by_key, at least one AND per side.
         """
-        groups: dict[int, list[Side]] = {}
+        groups: dict[int, list[int]] = {}
         for run in runs:
-            for members, entries in run.items():
+            for members, keyed in run.items():
                 if not members & opposite:
-                    for key, sides in entries:
-                        groups.setdefault(key, []).extend(sides)
+                    for key, lows in keyed.items():
+                        groups.setdefault(key, []).extend(lows)
         if not groups:
             return table
         table = dict(table)
         chain: list[Side] = []
         for key, group in groups.items():
             if len(group) < t:
-                chain += group
+                chain += zip(group, repeat(key))
             else:
-                table[key] = table.get(key, 0) | _close(map(itemgetter(0), group), t, as_red)
+                table[key] = table.get(key, 0) | _close(group, t, as_red)
         return _or_by_key(sorted(chain), red_pats if as_red else blue_pats, full, table)
 
-    # Each edge m is filed once by its bits under the block, m & ((1 <<
-    # shift) - 1), which hold vertex 0, its branch and its key members: its
-    # side joins that value's list.  tops[u][members] holds one (key, sides)
-    # entry per such value whose highest member below key_base is u (0 when
-    # there is none), bucketed by those members; the side lists are shared
-    # and never written.  At a node whose lowest free branch vertex is u,
-    # every vertex below u is painted, so each bucket in tops[:u] is tested
-    # once and folded in.
-    masks = h.edge_masks
-    under = list(map(and_, masks, repeat((1 << shift) - 1)))
-    sides = zip(map(rshift, masks, repeat(shift)), map(rshift, under, repeat(key_base)))
-    filed: dict[int, list[Side]] = {bits: [] for bits in dict.fromkeys(under)}
-    for _ in map(list.append, map(filed.__getitem__, under), sides):
-        pass
-    del under  # one int per edge, not needed while the search runs
-    tops: list[dict[int, list[Entry]]] = [{} for _ in range(key_base)]
-    for bits, group in filed.items():
-        members = bits & head
-        entry = (bits >> key_base, group)
-        tops[(members | 1).bit_length() - 1].setdefault(members, []).append(entry)
-    branch = head - 1  # vertices 1 .. key_base - 1
+    # Each edge is filed once: its block-member mask S joins the list
+    # tops[u][members][key], where members are its vertex-0 and branch
+    # members, u is the highest of them (0 when there is none) and key its
+    # key members as key bits.  At a node whose lowest free branch vertex
+    # is u, every vertex below u is painted, so each bucket in tops[:u] is
+    # tested once and folded in.
+    tops: list[dict[int, dict[int, list[int]]]] = [{} for _ in range(key_base)]
+    for mask in h.edge_masks:
+        members = mask & head
+        keyed = tops[(members | 1).bit_length() - 1].setdefault(members, {})
+        keyed.setdefault(mask >> key_base & key_mask, []).append(mask >> shift)
     # A node is (reached, red, blue, red_table, blue_table): a painted state
     # whose lowest free branch vertex is `reached` (key_base at a leaf), and
     # its tables with the buckets in tops[:reached] folded in: its parent's
@@ -326,23 +324,10 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
     # too.  Without this, isolated branch vertices above an uncolourable
     # core would multiply the search by 2 each.
     yielded = 0
-    edges_on: list[list[int]] = []  # each branch vertex's edges, listed at the first test
-
-    def settled(red: int, blue: int, u: int) -> bool:
-        """True iff every edge on u has a red and a blue member among (red, blue)."""
-        if not edges_on:
-            edges_on.extend([] for _ in range(key_base))
-            # Painted vertices lie in reach, so each edge is filed as its
-            # part in reach, and edges that agree there are filed once.
-            for mask in {mask & reach for mask in h.edge_masks}:
-                for w in bit_indices(mask & branch):
-                    edges_on[w].append(mask)
-        return all(mask & red and mask & blue for mask in edges_on[u])
-
     work: list[tuple[tuple, bool, int]] = [((0, 0, 0, {}, {}), False, 0)]
     while work:
         (u, red, blue, red_table, blue_table), as_red, pushed = work.pop()
-        if as_red and pushed == yielded and settled(red, blue, u):
+        if as_red and pushed == yielded and all(m & red and m & blue for m in edges_on[u]):
             continue
         painted = paint(red, blue, u, as_red)
         if painted is None:

@@ -127,6 +127,15 @@ def test_verification_catches_missing_line():
     assert by_name["proper-count"].actual == "768"
 
 
+def test_verification_raises_before_its_checks_when_h4_cannot_be_listed_or_derived():
+    # With h8 omitted, derive_h8 and the census of h4 run before the table.
+    clipped = Hypergraph(16, affine_plane_gf4().edge_masks[:-1])
+    with pytest.raises(ValueError, match="is not balanced"):
+        verify_paper_example(h4=clipped)
+    with pytest.raises(ValueError, match="33 vertices exceeds the exhaustive enumeration limit"):
+        verify_paper_example(h4=make_hypergraph(33, [{0, 1}]))
+
+
 PLANE_SHAPE = ("plane-shape", "16 vertices, 20 edges of size 4")
 PROPER_COUNT = ("proper-count", "120")
 BALANCE = ("balance", "every proper colouring 8 red / 8 blue")

@@ -146,6 +146,32 @@ def test_verify_paper_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypatch):
+    # The `$ propb` lines of the README's example block, each followed by
+    # the output it shows; `| tail -N` keeps the last N lines.
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("$ propb construct paper-example") :]
+    block = block[: block.index("```")]
+    ran = []
+    for chunk in block.split("$ propb ")[1:]:
+        command, *shown = chunk.split("\n")
+        command, _, tail = command.partition(" | tail -")
+        code, out, _ = run(command.split(), capsys)
+        assert code == 0
+        lines = out.splitlines()[-int(tail) :] if tail else out.splitlines()
+        assert lines == [line for line in shown if line]
+        ran.append(command)
+    assert ran == [
+        "construct paper-example -o h.txt",
+        "q h.txt",
+        "alteration --n 4 --seed 13 --strict",
+    ]
+
+
 def test_alteration_exhaustion_is_exit_1(capsys):
     code, _, err = run(
         ["alteration", "--n", "4", "--seed", "13", "--strict", "--max-retries", "0"], capsys

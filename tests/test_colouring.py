@@ -447,6 +447,46 @@ def test_structured_witnesses_are_lex_first():
         assert is_two_colourable(h) == expected
 
 
+# Seed 0's canonical edge on document line 6214; without it exactly 2
+# proper colourings are left.
+SEED0_CUT = mask_of([4, 5, 6, 11, 13, 15, 16, 17, 19, 20, 21, 22, 23])
+
+
+def branch_instances():
+    """run_alteration(7, s) outputs on 26 vertices (3 branch vertices) for
+    s = 0 and 1, whole and less one blocking edge: seed 0 less SEED0_CUT,
+    seed 1 less its first blocking edge, which stays uncolourable."""
+    cases = []
+    for seed in (0, 1):
+        h, report = run_alteration(7, seed)
+        cut = SEED0_CUT if seed == 0 else report.killing_masks[0]
+        assert cut in h.edge_masks
+        cases += [h, Hypergraph(h.v, tuple(m for m in h.edge_masks if m != cut))]
+    return cases
+
+
+BRANCH_CASES = branch_instances()
+
+
+def test_branch_decisions_agree_with_the_census_and_the_listing():
+    # lex_first_search takes about 30 s per instance at 26 vertices, so the
+    # lex-first reference is the listing's minimum by reversed bit string.
+    totals = []
+    for h in BRANCH_CASES:
+        reds = enumerate_proper(h, materialize=True).red_masks
+        assert enumerate_proper(h).total_proper == len(reds)
+        totals.append(len(reds))
+        if reds:
+            first = min(reds, key=lambda m: format(m, f"0{h.v}b")[::-1])
+            expected = (True, Colouring(h.v, first))
+        else:
+            expected = (False, None)
+        assert is_two_colourable(h) == expected
+    assert totals == [0, 2, 0, 0]
+    _, witness = is_two_colourable(BRANCH_CASES[1])
+    assert witness.red == {4, 5, 6, 11, 13, 15, 16, 17, 19, 20, 21, 22, 23, 25}
+
+
 def scattered_components(seed):
     """19-26 vertices at the kernel's own sizes: small random components on
     scattered vertex sets, the rest isolated.
