@@ -23,9 +23,9 @@ def bit_indices(x: int) -> list[int]:
     Up to one set bit per 256 of x's length is peeled from the top: the top
     bit left is read with `bit_length` and cleared, so each step costs the
     length of what is left, and a census block of 2**16 bits peels up to
-    256 bits.  The unpeeled rest is walked: its little-endian bytes go
-    through `compress`, which makes one index object per byte, and each
-    nonzero byte expands from a table.  Masks under 256 bits, such as
+    256 bits, one of 2**15 bits up to 128.  The unpeeled rest is walked:
+    its little-endian bytes go through `compress`, which makes one index
+    object per byte, and each nonzero byte expands from a table.  Masks under 256 bits, such as
     edges, have no budget and are walked whole.
     """
     top: list[int] = []

@@ -13,9 +13,16 @@ order:
   vertices and tables, so nothing is ever undone.  A red branch is
   skipped when its blue twin yielded nothing and every edge on its vertex
   already has both colours.
-- key: at each branch leaf, the next k <= _KEY_BITS vertices are enumerated.
-- block: the top t <= _BLOCK_BITS vertices vary inside a block of 2**t
-  colourings held as one big-int bit pattern.
+- key: at each branch leaf, the next k vertices are enumerated.
+- block: the top t vertices vary inside a block of 2**t colourings held as
+  one big-int bit pattern.
+
+The split (t, k) is chosen per instance.  By default t <= _BLOCK_BITS = 16
+and k <= _KEY_BITS = 6.  When there are branch vertices and every edge has
+at least two members above them, propagation can never force or prune a
+branch, and the tree only folds the same edges again under each sibling;
+then the split is _WIDE_SPLIT = (15, 8), which moves branch vertices into
+the key.
 
 An edge's red side is monochromatic on the block colourings where its block
 members are all red: those that contain its block-member mask S.  Red sides
@@ -42,8 +49,10 @@ red).  `enumerate_proper` counts every proper block or lists its
 colourings as red masks (ints, like edges), while `is_two_colourable` stops
 at the first one and narrows it to its lex-first colouring.  Up to 23
 vertices there is no branch vertex and the search is one leaf (18 vertices
-give 2 keys); 26 vertices give 3 branch vertices, so at most 8 leaves of 64
-keys, and 32 give 9 and 512.
+give 2 keys).  At the default split 26 vertices give 3 branch vertices, so
+at most 8 leaves of 64 keys, and 32 give 9 and 512; at the wide split,
+which random 7- and 8-edges get, 26 vertices give 2 branch vertices and 4
+leaves of 256 keys, and 32 give 8 and 256.
 
 `enumerate_proper` refuses more than ENUM_LIMIT = 32 vertices, and a
 listing stops with an error once it would hold more than LIST_LIMIT = 2**23
@@ -68,6 +77,10 @@ _BLOCK_BITS = 16
 # Key bits per table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB per
 # branch node, less the patterns a node shares with its parent.
 _KEY_BITS = 6
+# The split (block bits, key bits) for instances whose branch vertices
+# propagation cannot use: 2 colours x 2**8 keys x 4 KiB patterns is 2 MiB
+# per branch node.
+_WIDE_SPLIT = (15, 8)
 
 # An edge as _or_by_key folds it: (S, key), where S holds its block members
 # as block bits and key its key members as key bits.  Its red side is
@@ -161,12 +174,13 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     if v == 0:
         return EnumerationReport(1, (0,) if materialize else None)
 
+    t, k = _split(h)
     if not materialize:
-        return EnumerationReport(2 * sum(proper.bit_count() for _, proper in _proper_blocks(h)))
+        return EnumerationReport(2 * sum(p.bit_count() for _, p in _proper_blocks(h, t, k)))
     # Listing takes its total from the list's length, not from popcounts.
-    shift = v - _block_bits(v)
+    shift = v - t
     red_masks: list[int] = []
-    for base, proper in _proper_blocks(h):
+    for base, proper in _proper_blocks(h, t, k):
         red_masks += [base | j << shift for j in bit_indices(proper)]
         if 2 * len(red_masks) > LIST_LIMIT:
             raise ValueError(
@@ -179,25 +193,42 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     return EnumerationReport(len(red_masks), tuple(red_masks))
 
 
-def _block_bits(v: int) -> int:
-    """Scan-block width: the top min(v - 1, _BLOCK_BITS) vertices."""
-    return min(max(v - 1, 0), _BLOCK_BITS)
+def _stages(v: int, block_bits: int, key_bits: int) -> tuple[int, int]:
+    """The split (t, k) of v vertices: the top t <= block_bits form the block,
+    the k <= key_bits below them the key, and vertex 0 stays below both."""
+    t = min(max(v - 1, 0), block_bits)
+    return t, min(max(v - t - 1, 0), key_bits)
 
 
-def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int]]:
+def _split(h: Hypergraph) -> tuple[int, int]:
+    """The census split (t, k) for h: _WIDE_SPLIT when the default split has
+    branch vertices and every edge has at least two members above them,
+    else the default.
+
+    Painting such branch vertices never leaves an edge with one free member
+    or none, so propagation forces and prunes nothing.  The wide split's
+    branch vertices are a prefix of the default's, so the same holds there.
+    """
+    t, k = _stages(h.v, _BLOCK_BITS, _KEY_BITS)
+    key_base = h.v - t - k
+    if key_base > 1 and all((up := m >> key_base) & (up - 1) for m in h.edge_masks):
+        return _stages(h.v, *_WIDE_SPLIT)
+    return t, k
+
+
+def _proper_blocks(h: Hypergraph, t: int, k: int) -> Iterator[tuple[int, int]]:
     """Yield (base, proper) for each block that holds a proper colouring, in lex order.
 
-    Vertex 0 is blue throughout.  With t = _block_bits(h.v), `base` colours
-    the vertices below the block (bit i set: vertex i red) and bit j of
-    `proper` is set iff base | j << (v - t) is a proper colouring.
+    Vertex 0 is blue throughout, and (t, k) is the split, as from _split.
+    `base` colours the vertices below the block (bit i set: vertex i red)
+    and bit j of `proper` is set iff base | j << (v - t) is a proper
+    colouring.
     """
     v = h.v
     if v == 0:
         yield 0, 1  # the empty colouring
         return
-    t = _block_bits(v)
     shift = v - t
-    k = min(shift - 1, _KEY_BITS)
     key_base = shift - k
     key_mask = (1 << k) - 1
     head = (1 << key_base) - 1  # vertex 0 and the branch vertices
@@ -447,9 +478,9 @@ def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
     The witness is the lex-first proper colouring: vertex 0 first, blue
     before red.  There is no vertex limit.
     """
-    t = _block_bits(h.v)
+    t, k = _split(h)
     blue_pats = _block_patterns(t)[1]
-    for base, proper in _proper_blocks(h):
+    for base, proper in _proper_blocks(h, t, k):
         # Keep the blue half of the block's proper colourings wherever it is
         # non-empty, lowest block vertex first; one colouring is left.
         for pattern in blue_pats:

@@ -49,6 +49,19 @@ def lex_first_oracle(h):
     return None
 
 
+def force_split(monkeypatch, block_bits, key_bits):
+    """Make every census take the split of _BLOCK_BITS = block_bits and
+    _KEY_BITS = key_bits, whatever colouring._split would choose."""
+
+    def split(h):
+        return colouring._stages(h.v, block_bits, key_bits)
+
+    monkeypatch.setattr(colouring, "_split", split)
+
+
+DEFAULT_SPLIT = (colouring._BLOCK_BITS, colouring._KEY_BITS)
+
+
 def random_hypergraph(rng, max_v=10, max_edges=8, max_size=None):
     v = rng.randint(2, max_v)
     top = max_size or v
@@ -234,8 +247,7 @@ def test_split_kernel_matches_oracle(monkeypatch, block_bits, key_bits):
     """Tiny blocks and tables force many blocks, many passes and split edges;
     (2, 1) leaves up to 8 branch vertices and (0, 0) up to 11, and 2- and
     3-edges force vertices down the branch tree."""
-    monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
-    monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
+    force_split(monkeypatch, block_bits, key_bits)
     closed = []
     close = colouring._close
     monkeypatch.setattr(colouring, "_close", lambda *args: closed.append(args) or close(*args))
@@ -288,16 +300,17 @@ def test_group_closure_matches_and_chains(t):
 N8_DIGEST = "559c4090a18f4ac7800ea47e5e2d3e37ead6bdcd2324a08a4ed095429303434e"
 
 
-def n8_sample():
-    """The 32-vertex sampled edges of run_alteration(8, 5)."""
-    params = AlterationParams.for_edge_size(8, 5)
-    return sample_uniform_edges(params.v, 8, params.m_prime, derive_seed(5, 0))
+def sampled_edges(n, seed):
+    """The edges run_alteration(n, seed) samples first (it needs no retry
+    for the seeds used here)."""
+    params = AlterationParams.for_edge_size(n, seed)
+    return sample_uniform_edges(params.v, n, params.m_prime, derive_seed(seed, 0))
 
 
 def test_n8_census_is_pinned():
-    """The 32-vertex census of run_alteration(8, 5)'s sampled edges: 512
-    branch leaves, recorded before the branch-tree tables."""
-    report = enumerate_proper(n8_sample(), materialize=True)
+    """The 32-vertex census of run_alteration(8, 5)'s sampled edges at the
+    split _split picks, recorded before the branch-tree tables."""
+    report = enumerate_proper(sampled_edges(8, 5), materialize=True)
     assert report.total_proper == 58938
     assert sum(2 * r.bit_count() == 32 for r in report.red_masks) == 45426
     digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
@@ -305,16 +318,18 @@ def test_n8_census_is_pinned():
 
 
 def test_n8_census_agrees_across_splits(monkeypatch):
-    """The same census with 14 block bits instead of 16: vertex 0, 11 branch
-    vertices and 6 key vertices below the block, so up to 2048 leaves in
-    place of 512.  This checks how the kernel splits the vertices into
-    stages, not its edge logic, which both splits share."""
-    monkeypatch.setattr(colouring, "_BLOCK_BITS", 14)
-    monkeypatch.setattr(colouring, "_KEY_BITS", 6)
-    report = enumerate_proper(n8_sample(), materialize=True)
-    assert report.total_proper == 58938
-    digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
-    assert digest == N8_DIGEST
+    """The same census at each split: below the block, vertex 0, then 9
+    branch vertices and 6 key vertices at (16, 6), so up to 512 leaves; 8
+    and 8 at (15, 8), 256 leaves; 11 and 6 at (14, 6), 2048 leaves.  This
+    checks how the kernel splits the vertices into stages, not its edge
+    logic, which all splits share."""
+    h = sampled_edges(8, 5)
+    for split in (DEFAULT_SPLIT, colouring._WIDE_SPLIT, (14, 6)):
+        force_split(monkeypatch, *split)
+        report = enumerate_proper(h, materialize=True)
+        assert report.total_proper == 58938
+        digest = hashlib.sha256(",".join(map(str, report.red_masks)).encode()).hexdigest()
+        assert digest == N8_DIGEST
 
 
 def affine_plane_gf5():
@@ -369,13 +384,12 @@ def test_decision_agrees_with_enumeration():
 
 @pytest.mark.parametrize(
     "block_bits,key_bits",
-    [(colouring._BLOCK_BITS, colouring._KEY_BITS), (2, 1), (2, 2), (2, 3), (3, 3), (1, 1), (0, 0)],
+    [DEFAULT_SPLIT, (2, 1), (2, 2), (2, 3), (3, 3), (1, 1), (0, 0)],
 )
 def test_decision_witness_is_lex_first(monkeypatch, block_bits, key_bits):
     """Tiny sizes put vertices in the branch, key and block stages at once;
     small edges make propagation force vertices in each of them."""
-    monkeypatch.setattr(colouring, "_BLOCK_BITS", block_bits)
-    monkeypatch.setattr(colouring, "_KEY_BITS", key_bits)
+    force_split(monkeypatch, block_bits, key_bits)
     rng = random.Random(43)
     randoms = [random_hypergraph(rng, max_v=12, max_edges=10) for _ in range(30)]
     randoms += [random_hypergraph(rng, max_v=12, max_edges=14, max_size=3) for _ in range(30)]
@@ -453,9 +467,10 @@ SEED0_CUT = mask_of([4, 5, 6, 11, 13, 15, 16, 17, 19, 20, 21, 22, 23])
 
 
 def branch_instances():
-    """run_alteration(7, s) outputs on 26 vertices (3 branch vertices) for
-    s = 0 and 1, whole and less one blocking edge: seed 0 less SEED0_CUT,
-    seed 1 less its first blocking edge, which stays uncolourable."""
+    """run_alteration(7, s) outputs on 26 vertices for s = 0 and 1, whole and
+    less one blocking edge: seed 0 less SEED0_CUT, seed 1 less its first
+    blocking edge, which stays uncolourable.  They have 3 branch vertices
+    at the default split and 2 at the wide one, which _split picks."""
     cases = []
     for seed in (0, 1):
         h, report = run_alteration(7, seed)
@@ -468,23 +483,25 @@ def branch_instances():
 BRANCH_CASES = branch_instances()
 
 
-def test_branch_decisions_agree_with_the_census_and_the_listing():
+def test_branch_decisions_agree_with_the_census_and_the_listing(monkeypatch):
     # lex_first_search takes about 30 s per instance at 26 vertices, so the
     # lex-first reference is the listing's minimum by reversed bit string.
-    totals = []
-    for h in BRANCH_CASES:
-        reds = enumerate_proper(h, materialize=True).red_masks
-        assert enumerate_proper(h).total_proper == len(reds)
-        totals.append(len(reds))
-        if reds:
-            first = min(reds, key=lambda m: format(m, f"0{h.v}b")[::-1])
-            expected = (True, Colouring(h.v, first))
-        else:
-            expected = (False, None)
-        assert is_two_colourable(h) == expected
-    assert totals == [0, 2, 0, 0]
-    _, witness = is_two_colourable(BRANCH_CASES[1])
-    assert witness.red == {4, 5, 6, 11, 13, 15, 16, 17, 19, 20, 21, 22, 23, 25}
+    for split in (DEFAULT_SPLIT, colouring._WIDE_SPLIT):
+        force_split(monkeypatch, *split)
+        totals = []
+        for h in BRANCH_CASES:
+            reds = enumerate_proper(h, materialize=True).red_masks
+            assert enumerate_proper(h).total_proper == len(reds)
+            totals.append(len(reds))
+            if reds:
+                first = min(reds, key=lambda m: format(m, f"0{h.v}b")[::-1])
+                expected = (True, Colouring(h.v, first))
+            else:
+                expected = (False, None)
+            assert is_two_colourable(h) == expected
+        assert totals == [0, 2, 0, 0]
+        _, witness = is_two_colourable(BRANCH_CASES[1])
+        assert witness.red == {4, 5, 6, 11, 13, 15, 16, 17, 19, 20, 21, 22, 23, 25}
 
 
 def scattered_components(seed):
@@ -621,6 +638,46 @@ def test_decision_past_the_enumeration_limit():
         if h.v <= colouring.ENUM_LIMIT:
             assert (enumerate_proper(h).total_proper > 0) == (red is not None)
     assert time.perf_counter() - started < budget
+
+
+def test_split_widens_only_where_propagation_is_idle():
+    """_split takes the wide split where the default split has branch
+    vertices and no edge with at most one member above them, and keeps the
+    default wherever propagation can force or prune a branch."""
+    wide = colouring._WIDE_SPLIT
+
+    def default(h):
+        return colouring._stages(h.v, *DEFAULT_SPLIT)
+
+    def propagates(h):
+        key_base = max(h.v - sum(DEFAULT_SPLIT), 1)
+        return any(sum(u >= key_base for u in e) <= 1 for e in h.edges)
+
+    # Random 7- and 8-edges, sampled and with their blocking edges added.
+    widened = [sampled_edges(7, 0), sampled_edges(7, 1), sampled_edges(8, 5)]
+    widened += [BRANCH_CASES[0], BRANCH_CASES[2], run_alteration(8, 5)[0]]
+    for h in widened:
+        assert not propagates(h)
+        assert colouring._split(h) == colouring._stages(h.v, *wide) == wide
+    kept = [h for h, _ in PAST_LIMIT_CASES if propagates(h)]
+    kept += [scattered_components(seed)[0] for seed in range(64) if seed % 8 >= 5]
+    kept.append(random_uniform(32, 4, 150, 4))
+    assert len(kept) == 7 + 24 + 1
+    for h in kept:
+        assert propagates(h)
+        assert colouring._split(h) == default(h) == DEFAULT_SPLIT
+    # No branch vertex up to 23 vertices, so nothing to widen, even where no
+    # edge has a member below the block.
+    for v in range(24):
+        cases = [Hypergraph(v, ())]
+        if v >= 3:
+            cases += [make_hypergraph(v, [{v - 2, v - 1}]), random_uniform(v, 3, 5, v)]
+        for h in cases:
+            t, k = colouring._split(h)
+            assert (t, k) == default(h) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
+            assert v - t - k <= 1
+    n6 = sampled_edges(6, 0)
+    assert colouring._split(n6) == default(n6)
 
 
 def test_decision_on_named_uncolourables():
