@@ -25,8 +25,8 @@ def bit_indices(x: int) -> list[int]:
     length of what is left, and a census block of 2**16 bits peels up to
     256 bits, one of 2**15 bits up to 128.  The unpeeled rest is walked:
     its little-endian bytes go through `compress`, which makes one index
-    object per byte, and each nonzero byte expands from a table.  Masks under 256 bits, such as
-    edges, have no budget and are walked whole.
+    object per byte, and each nonzero byte expands from a table.  Masks
+    under 256 bits, such as edges, have no budget and are walked whole.
     """
     top: list[int] = []
     rest = x

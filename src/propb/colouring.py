@@ -18,11 +18,11 @@ order:
   one big-int bit pattern.
 
 The split (t, k) is chosen per instance.  By default t <= _BLOCK_BITS = 16
-and k <= _KEY_BITS = 6.  When there are branch vertices and every edge has
-at least two members above them, propagation can never force or prune a
-branch, and the tree only folds the same edges again under each sibling;
-then the split is _WIDE_SPLIT = (15, 8), which moves branch vertices into
-the key.
+and k <= _KEY_BITS = 6.  _WIDE_SPLIT = (15, 8) moves a branch vertex into
+the key.  It is taken when it leaves branch vertices, every edge has at
+least two members above them, and there are at least 2**8 edges: then
+propagation can never force or prune a branch, and the tree would only
+fold the same edges again under each sibling.
 
 An edge's red side is monochromatic on the block colourings where its block
 members are all red: those that contain its block-member mask S.  Red sides
@@ -50,9 +50,12 @@ colourings as red masks (ints, like edges), while `is_two_colourable` stops
 at the first one and narrows it to its lex-first colouring.  Up to 23
 vertices there is no branch vertex and the search is one leaf (18 vertices
 give 2 keys).  At the default split 26 vertices give 3 branch vertices, so
-at most 8 leaves of 64 keys, and 32 give 9 and 512; at the wide split,
-which random 7- and 8-edges get, 26 vertices give 2 branch vertices and 4
-leaves of 256 keys, and 32 give 8 and 256.
+at most 8 leaves of 64 keys, and 32 give 9 and 512.  At the wide split, 26
+vertices give 2 branch vertices and 4 leaves of 256 keys, and 32 give 8
+and 256.  Random 7-edges on 26 vertices, as the alteration samples them,
+always take the wide split; random 8-edges on 32 take it unless an edge
+has 7 or 8 members among the 9 vertices below the key, as in about a
+quarter of the alteration's samples.
 
 `enumerate_proper` refuses more than ENUM_LIMIT = 32 vertices, and a
 listing stops with an error once it would hold more than LIST_LIMIT = 2**23
@@ -201,19 +204,24 @@ def _stages(v: int, block_bits: int, key_bits: int) -> tuple[int, int]:
 
 
 def _split(h: Hypergraph) -> tuple[int, int]:
-    """The census split (t, k) for h: _WIDE_SPLIT when the default split has
-    branch vertices and every edge has at least two members above them,
-    else the default.
+    """The census split (t, k) for h: _WIDE_SPLIT when it has branch
+    vertices, every edge has at least two members above them, and there
+    are at least as many edges as a wide leaf has keys; else the default.
 
     Painting such branch vertices never leaves an edge with one free member
-    or none, so propagation forces and prunes nothing.  The wide split's
-    branch vertices are a prefix of the default's, so the same holds there.
+    or none, so propagation forces and prunes nothing.  A wide leaf reads
+    2**8 keys where a default leaf reads 2**6, which fewer edges do not
+    repay.
     """
-    t, k = _stages(h.v, _BLOCK_BITS, _KEY_BITS)
+    t, k = _stages(h.v, *_WIDE_SPLIT)
     key_base = h.v - t - k
-    if key_base > 1 and all((up := m >> key_base) & (up - 1) for m in h.edge_masks):
-        return _stages(h.v, *_WIDE_SPLIT)
-    return t, k
+    if (
+        key_base > 1
+        and len(h.edge_masks) >= 1 << k
+        and all((up := m >> key_base) & (up - 1) for m in h.edge_masks)
+    ):
+        return t, k
+    return _stages(h.v, _BLOCK_BITS, _KEY_BITS)
 
 
 def _proper_blocks(h: Hypergraph, t: int, k: int) -> Iterator[tuple[int, int]]:

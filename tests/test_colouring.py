@@ -641,41 +641,54 @@ def test_decision_past_the_enumeration_limit():
 
 
 def test_split_widens_only_where_propagation_is_idle():
-    """_split takes the wide split where the default split has branch
-    vertices and no edge with at most one member above them, and keeps the
-    default wherever propagation can force or prune a branch."""
+    """_split takes the wide split where it has branch vertices, no edge has
+    at most one member above them, and there are at least 2**8 edges, one
+    per key of a wide leaf.  It keeps the default wherever propagation can
+    force or prune a wide branch, and for fewer edges."""
     wide = colouring._WIDE_SPLIT
+    dense = 1 << wide[1]
 
     def default(h):
         return colouring._stages(h.v, *DEFAULT_SPLIT)
 
-    def propagates(h):
-        key_base = max(h.v - sum(DEFAULT_SPLIT), 1)
-        return any(sum(u >= key_base for u in e) <= 1 for e in h.edges)
+    def propagates(h, split):
+        key_base = h.v - sum(colouring._stages(h.v, *split))
+        return key_base > 1 and any(sum(u >= key_base for u in e) <= 1 for e in h.edges)
 
     # Random 7- and 8-edges, sampled and with their blocking edges added.
-    widened = [sampled_edges(7, 0), sampled_edges(7, 1), sampled_edges(8, 5)]
+    # The n=8 seed-0 sample has an edge that would propagate at the default
+    # split, but none at the wide one.
+    widened = [sampled_edges(7, 0), sampled_edges(7, 1), sampled_edges(8, 5), sampled_edges(8, 0)]
     widened += [BRANCH_CASES[0], BRANCH_CASES[2], run_alteration(8, 5)[0]]
+    widened.append(random_uniform(32, 6, 700, 3))
+    assert propagates(sampled_edges(8, 0), DEFAULT_SPLIT)
     for h in widened:
-        assert not propagates(h)
+        assert len(h.edge_masks) >= dense and not propagates(h, wide)
         assert colouring._split(h) == colouring._stages(h.v, *wide) == wide
-    kept = [h for h, _ in PAST_LIMIT_CASES if propagates(h)]
+    # The n=8 seed-32 sample has an 8-edge with 7 members below the wide
+    # key; about a quarter of n=8 samples have one with 7 or 8.
+    kept = [sampled_edges(8, 32), random_uniform(32, 4, 150, 4)]
+    kept += [h for h, _ in PAST_LIMIT_CASES]
     kept += [scattered_components(seed)[0] for seed in range(64) if seed % 8 >= 5]
-    kept.append(random_uniform(32, 4, 150, 4))
-    assert len(kept) == 7 + 24 + 1
+    # The stars on 24 vertices have no wide branch vertex, and two of the
+    # 16 on 25 and 26 vertices leave the wide branch vertices idle.
+    assert sum(propagates(h, wide) for h in kept) == 2 + 7 + 14
     for h in kept:
-        assert propagates(h)
+        assert propagates(h, wide) or len(h.edge_masks) < dense
         assert colouring._split(h) == default(h) == DEFAULT_SPLIT
-    # No branch vertex up to 23 vertices, so nothing to widen, even where no
-    # edge has a member below the block.
-    for v in range(24):
+    # Up to 23 vertices there is no branch vertex at the default split, and
+    # at 24 none at the wide one, so nothing widens, even where no edge has
+    # a member below the block.
+    for v in range(25):
         cases = [Hypergraph(v, ())]
         if v >= 3:
             cases += [make_hypergraph(v, [{v - 2, v - 1}]), random_uniform(v, 3, 5, v)]
+        if v == 24:
+            cases.append(random_uniform(v, 8, 400, v))
         for h in cases:
             t, k = colouring._split(h)
             assert (t, k) == default(h) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
-            assert v - t - k <= 1
+            assert v - t - k <= 1 or v == 24
     n6 = sampled_edges(6, 0)
     assert colouring._split(n6) == default(n6)
 
