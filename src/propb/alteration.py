@@ -72,9 +72,9 @@ def balanced_probability(v: int, n: int) -> Fraction:
 
 
 def erdos_edge_count(n: int) -> int:
-    """Classical first-moment edge count, ceil((e*ln2/4) * n*n * 2**n)."""
-    if n < 2:
-        raise ValueError("edge size must be at least 2")
+    """Classical first-moment edge count, ceil((e*ln2/4) * n*n * 2**n), for 2 <= n <= 90."""
+    if not 2 <= n <= 90:
+        raise ValueError(f"edge size {n} is outside 2..90, where the edge count is exact")
     return -(-_E_LN2_OVER_4 * (n * n << n) >> 256)
 
 

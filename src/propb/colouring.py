@@ -17,12 +17,13 @@ order:
 - block: the top t vertices vary inside a block of 2**t colourings held as
   one big-int bit pattern.
 
-The split (t, k) is chosen per instance.  By default t <= _BLOCK_BITS = 16
-and k <= _KEY_BITS = 6.  _WIDE_SPLIT = (15, 8) moves a branch vertex into
-the key.  It is taken when it leaves branch vertices, every edge has at
-least two members above them, and there are at least 2**8 edges: then
-propagation can never force or prune a branch, and the tree would only
-fold the same edges again under each sibling.
+The split (t, k) is chosen per instance and read by `_proper_blocks` alone:
+_split names _DEFAULT_SPLIT = (16, 6) or _WIDE_SPLIT = (15, 8), which moves
+a branch vertex into the key, and _stages fits the pair to the vertex
+count.  The wide pair is taken when it leaves branch vertices, every edge
+has at least two members above them, and there are at least 2**8 edges:
+then propagation can never force or prune a branch, and the tree would
+only fold the same edges again under each sibling.
 
 An edge's red side is monochromatic on the block colourings where its block
 members are all red: those that contain its block-member mask S.  Red sides
@@ -76,13 +77,11 @@ ENUM_LIMIT = 32
 # Listed colourings, complements included, at about 50 bytes each.
 LIST_LIMIT = 1 << 23
 
-_BLOCK_BITS = 16
-# Key bits per table: 2 colours x 2**6 keys x 8 KiB patterns is 1 MiB per
-# branch node, less the patterns a node shares with its parent.
-_KEY_BITS = 6
-# The split (block bits, key bits) for instances whose branch vertices
-# propagation cannot use: 2 colours x 2**8 keys x 4 KiB patterns is 2 MiB
-# per branch node.
+# The split (block bits, key bits): 2 colours x 2**6 keys x 8 KiB patterns
+# is 1 MiB per branch node, less the patterns a node shares with its parent.
+_DEFAULT_SPLIT = (16, 6)
+# The split for instances whose branch vertices propagation cannot use:
+# 2 colours x 2**8 keys x 4 KiB patterns is 2 MiB per branch node.
 _WIDE_SPLIT = (15, 8)
 
 # An edge as _or_by_key folds it: (S, key), where S holds its block members
@@ -177,13 +176,11 @@ def enumerate_proper(h: Hypergraph, materialize: bool = False) -> EnumerationRep
     if v == 0:
         return EnumerationReport(1, (0,) if materialize else None)
 
-    t, k = _split(h)
     if not materialize:
-        return EnumerationReport(2 * sum(p.bit_count() for _, p in _proper_blocks(h, t, k)))
+        return EnumerationReport(2 * sum(p.bit_count() for _, p, _ in _proper_blocks(h)))
     # Listing takes its total from the list's length, not from popcounts.
-    shift = v - t
     red_masks: list[int] = []
-    for base, proper in _proper_blocks(h, t, k):
+    for base, proper, shift in _proper_blocks(h):
         red_masks += [base | j << shift for j in bit_indices(proper)]
         if 2 * len(red_masks) > LIST_LIMIT:
             raise ValueError(
@@ -204,38 +201,41 @@ def _stages(v: int, block_bits: int, key_bits: int) -> tuple[int, int]:
 
 
 def _split(h: Hypergraph) -> tuple[int, int]:
-    """The census split (t, k) for h: _WIDE_SPLIT when it has branch
-    vertices, every edge has at least two members above them, and there
-    are at least as many edges as a wide leaf has keys; else the default.
+    """The census split for h, as (block bits, key bits) before _stages
+    fits it to h.v: _WIDE_SPLIT when it leaves branch vertices, every edge
+    has at least two members above them, and there are at least as many
+    edges as a wide leaf has keys; else _DEFAULT_SPLIT.
 
     Painting such branch vertices never leaves an edge with one free member
     or none, so propagation forces and prunes nothing.  A wide leaf reads
     2**8 keys where a default leaf reads 2**6, which fewer edges do not
     repay.
     """
-    t, k = _stages(h.v, *_WIDE_SPLIT)
+    t, k = _WIDE_SPLIT
     key_base = h.v - t - k
     if (
         key_base > 1
         and len(h.edge_masks) >= 1 << k
         and all((up := m >> key_base) & (up - 1) for m in h.edge_masks)
     ):
-        return t, k
-    return _stages(h.v, _BLOCK_BITS, _KEY_BITS)
+        return _WIDE_SPLIT
+    return _DEFAULT_SPLIT
 
 
-def _proper_blocks(h: Hypergraph, t: int, k: int) -> Iterator[tuple[int, int]]:
-    """Yield (base, proper) for each block that holds a proper colouring, in lex order.
+def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int, int]]:
+    """Yield (base, proper, shift) for each block that holds a proper colouring, in lex order.
 
-    Vertex 0 is blue throughout, and (t, k) is the split, as from _split.
-    `base` colours the vertices below the block (bit i set: vertex i red)
-    and bit j of `proper` is set iff base | j << (v - t) is a proper
+    Vertex 0 is blue throughout, and the split (t, k) is _split's pair
+    fitted to h.v.  `base` colours the vertices below the block (bit i
+    set: vertex i red), the block is the top t vertices from `shift` up,
+    and bit j of `proper` is set iff base | j << shift is a proper
     colouring.
     """
     v = h.v
     if v == 0:
-        yield 0, 1  # the empty colouring
+        yield 0, 1, 0  # the empty colouring
         return
+    t, k = _stages(v, *_split(h))
     shift = v - t
     key_base = shift - k
     key_mask = (1 << k) - 1
@@ -389,7 +389,7 @@ def _proper_blocks(h: Hypergraph, t: int, k: int) -> Iterator[tuple[int, int]]:
             mono = reds[key] | blues[key_mask ^ key]
             if mono != full:
                 yielded += 1
-                yield red & head | key << key_base, full ^ mono
+                yield red & head | key << key_base, full ^ mono, shift
         del reds, blues  # free them before the next leaf's tables are built
 
 
@@ -486,16 +486,14 @@ def is_two_colourable(h: Hypergraph) -> tuple[bool, Colouring | None]:
     The witness is the lex-first proper colouring: vertex 0 first, blue
     before red.  There is no vertex limit.
     """
-    t, k = _split(h)
-    blue_pats = _block_patterns(t)[1]
-    for base, proper in _proper_blocks(h, t, k):
+    for base, proper, shift in _proper_blocks(h):
         # Keep the blue half of the block's proper colourings wherever it is
         # non-empty, lowest block vertex first; one colouring is left.
-        for pattern in blue_pats:
+        for pattern in _block_patterns(h.v - shift)[1]:
             blue = proper & pattern
             if blue:
                 proper = blue
-        return True, Colouring(h.v, base | (proper.bit_length() - 1) << h.v - t)
+        return True, Colouring(h.v, base | (proper.bit_length() - 1) << shift)
     return False, None
 
 

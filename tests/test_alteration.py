@@ -81,8 +81,12 @@ def test_edge_counts():
         assert halved_edge_count(n) == m_prime
     for n in range(2, 91):
         assert 2 * halved_edge_count(n) - erdos_edge_count(n) in (0, 1)
-    with pytest.raises(ValueError):
-        erdos_edge_count(1)
+    # The 256-bit constant is proven exact only up to n = 90; from 240 on its
+    # ceiling differs from a 400-digit one.
+    for n in (1, 91, 240):
+        for count in (erdos_edge_count, halved_edge_count):
+            with pytest.raises(ValueError, match=rf"edge size {n} is outside 2\.\.90"):
+                count(n)
 
 
 def test_erdos_edge_count_is_the_decimal_ceiling():
@@ -251,6 +255,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AlterationParams(
             n=4, v=9, m_prime=61, big_edge_size=4, survivor_threshold=16,
+            seed=0, max_retries=50, strict=False,
+        )
+    with pytest.raises(ValueError, match="blocking edges need at least 2 vertices"):
+        AlterationParams(
+            n=1, v=2, m_prime=1, big_edge_size=1, survivor_threshold=2,
             seed=0, max_retries=50, strict=False,
         )
 

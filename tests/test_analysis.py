@@ -61,6 +61,8 @@ def test_design_validation():
         design_check([{0, 1}], 3, -1)
     with pytest.raises(ValueError):
         design_check([{0, 5}], 3, 1)
+    with pytest.raises(ValueError, match="point count must be nonnegative"):
+        design_check([{0, 1}], -1, 1)
 
 
 def test_named_hypergraphs_are_edge_critical():

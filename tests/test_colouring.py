@@ -50,16 +50,12 @@ def lex_first_oracle(h):
 
 
 def force_split(monkeypatch, block_bits, key_bits):
-    """Make every census take the split of _BLOCK_BITS = block_bits and
-    _KEY_BITS = key_bits, whatever colouring._split would choose."""
-
-    def split(h):
-        return colouring._stages(h.v, block_bits, key_bits)
-
-    monkeypatch.setattr(colouring, "_split", split)
+    """Make every census take the pair (block_bits, key_bits), fitted to
+    its vertex count, whatever pair colouring._split would name."""
+    monkeypatch.setattr(colouring, "_split", lambda h: (block_bits, key_bits))
 
 
-DEFAULT_SPLIT = (colouring._BLOCK_BITS, colouring._KEY_BITS)
+DEFAULT_SPLIT = colouring._DEFAULT_SPLIT
 
 
 def random_hypergraph(rng, max_v=10, max_edges=8, max_size=None):
@@ -520,8 +516,9 @@ def scattered_components(seed):
     """
     rng = random.Random(seed)
     v = 19 + seed % 8
-    shift = v - colouring._BLOCK_BITS
-    key_base = max(shift - colouring._KEY_BITS, 1)
+    t, k = colouring._stages(v, *DEFAULT_SPLIT)
+    shift = v - t
+    key_base = shift - k
     order = rng.sample(range(v), v)
     groups = []
     if key_base > 1:
@@ -686,11 +683,11 @@ def test_split_widens_only_where_propagation_is_idle():
         if v == 24:
             cases.append(random_uniform(v, 8, 400, v))
         for h in cases:
-            t, k = colouring._split(h)
-            assert (t, k) == default(h) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
+            assert colouring._split(h) == DEFAULT_SPLIT
+            t, k = default(h)
+            assert (t, k) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
             assert v - t - k <= 1 or v == 24
-    n6 = sampled_edges(6, 0)
-    assert colouring._split(n6) == default(n6)
+    assert colouring._split(sampled_edges(6, 0)) == DEFAULT_SPLIT
 
 
 def test_decision_on_named_uncolourables():

@@ -104,6 +104,9 @@ def test_dyadic_rejects_invalid():
         DyadicValue(1, -1)
     with pytest.raises(ValueError):
         DyadicValue(1, 4) - DyadicValue(1, 2)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(DyadicValue(1), 1)
     for op in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
             op(DyadicValue(1, 2), Fraction(1, 4))
@@ -136,6 +139,12 @@ def test_masks_are_range_checked_without_allocating_2_to_the_v():
         Hypergraph(3, (0b11, -3))
     with pytest.raises(ValueError):
         Colouring(3, 0b1000)
+    with pytest.raises(ValueError, match="every edge needs at least 2 vertices"):
+        Hypergraph(3, (0b1,))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Hypergraph(-1, ())
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Colouring(-1, 0)
 
 
 def test_canonical_edge_order_size_then_lex():
