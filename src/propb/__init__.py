@@ -5,6 +5,14 @@ The central quantity is the dyadic weight q(H) = sum over edges of
 16-vertex example of weight 95/64, and randomized constructions whose weight
 grows like n**2; every reported number is exact integer or dyadic/rational
 arithmetic, checked by exhaustive enumeration where feasible.
+
+Only the standard library is imported at run time.  Importing `propb` and
+`propb.cli` loads neither `dataclasses` (see `core._Value`) nor `fractions`:
+`fractions` is imported where a `Fraction` is built, in `mono_probability`,
+`expected_survivor_count` and `DyadicValue.as_fraction`, and no command
+builds one.  Under `python -I` on Python 3.11, with `site` already holding
+`typing`, `pathlib` and `random`, the import adds only `argparse`, `gettext`
+and `__future__`.
 """
 
 from propb.alteration import (

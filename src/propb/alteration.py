@@ -1,16 +1,9 @@
 """Randomized construction of non-2-colourable hypergraphs with small weight.
 
-The pipeline samples roughly half the classical first-moment number of
-uniform n-edges on n*n/2 vertices, enumerates the proper colourings that
-survive, and then adds one large monochromatic edge per survivor.  The
-result is non-2-colourable unconditionally: a colouring either hits a
-monochromatic sampled edge or is a survivor and hits its own blocking edge.
-The run checks exactly that against the materialized survivor list, so the
-only census is the one of the sampled edges.
-
-Exact arithmetic throughout: the monochromatic-edge probabilities and
-the expected survivor count are rationals, the weights dyadic, and the
-classical edge count an integer ceiling taken in fixed point.
+`run_alteration` is the construction.  The rest of the module is its exact
+arithmetic: the monochromatic-edge probabilities and the expected survivor
+count are rationals, the weights dyadic, and the classical edge count an
+integer ceiling taken in fixed point.
 """
 
 from __future__ import annotations
@@ -247,9 +240,10 @@ def _blocks_every_survivor(
 ) -> bool:
     """True when h contains h1 and each survivor's own carved edge, monochromatic.
 
-    `survivor_masks` must be the exact census of h1, as red masks.  A
-    colouring that is not a survivor makes some h1 edge monochromatic, so h
-    is then uncolourable.  A False answer proves nothing.
+    `survivor_masks` must be the exact census of h1, as red masks.  Then h
+    is uncolourable: a colouring that is not a survivor makes some h1 edge
+    monochromatic, and a survivor its own blocking edge.  A False answer
+    proves nothing.
     """
     edges = set(h.edge_masks)
     return edges.issuperset(h1.edge_masks) and all(
@@ -263,15 +257,13 @@ def run_alteration(
 ) -> tuple[Hypergraph, AlterationReport]:
     """Build a non-2-colourable hypergraph with smallest edge size n.
 
-    Samples m' uniform n-edges, enumerates surviving proper colourings, and
-    adds the lowest-indexed half of each survivor's majority colour class
-    (red on ties) as a blocking edge, carved by clearing the class's
-    surplus highest members.  In strict mode the sample is redrawn
-    (derived seeds) until at most 2**(v/2) colourings survive.
-
-    `verified_uncolourable` is a proof from the exact census of the sampled
-    edges: the output contains them, and each survivor's own blocking edge is
-    in the output and monochromatic under that survivor.  The output is not
+    Samples m' = `halved_edge_count(n)` uniform n-edges, lists the proper
+    colourings that survive with one census, and adds the lowest-indexed
+    half of each survivor's majority colour class (red on ties) as a
+    blocking edge, carved by clearing the class's surplus highest members.
+    In strict mode the sample is redrawn (derived seeds) until at most
+    2**(v/2) colourings survive.  `verified_uncolourable` is
+    `_blocks_every_survivor`'s proof from that census; the output is not
     searched again.
     """
     params = AlterationParams.for_edge_size(n, seed, max_retries, strict)

@@ -122,9 +122,10 @@ def verify_paper_example(
     8-8 balance of each, the 60 opposite pairs, the 60 blocking 8-edges, the
     80-edge union, its non-2-colourability, the exact weight 95/64, the
     bracketing 23/16 < q < 24/16, and that the blue sets form a 3-(16,8,12)
-    design.  Either part can be substituted to probe how the checks fail; a
-    check whose computation raises ValueError fails with the message as its
-    actual value.
+    design.  Balance, opposite pairs and blue sets are read from one
+    listing of h4's red masks.  Either part can be substituted to probe how
+    the checks fail; a check whose computation raises ValueError fails with
+    the message as its actual value.
 
     The checks run only after h8 is derived when omitted, h4 is listed by
     `enumerate_proper` and the two are joined; those steps raise ValueError

@@ -1,8 +1,8 @@
 """Command-line workbench.
 
-Subcommands: construct, q, check, count, derive-h8, alteration,
-design-check, verify-paper.  Exit code 0 when the operation succeeds and
-every check passes, 1 when a check fails, 2 on usage or input errors.
+The subcommands are the keys of `COMMANDS`.  Exit code 0 when the operation
+succeeds and every check passes, 1 when a check fails, 2 on usage or input
+errors.
 
 Stdout is deterministic for a given argv (and seed); wall-clock timing goes
 to stderr so identical runs stay byte-identical on the comparison surface.

@@ -5,62 +5,29 @@ so counts are doubled.  The other vertices fall into three stages, in vertex
 order:
 
 - branch: vertices 1..p are searched depth first on the lowest-index free
-  vertex, blue before red.  Each assignment is propagated over the edges
-  that painting can reach: a monochromatic edge prunes the branch, and an
-  edge whose coloured members share a colour with one member left forces
-  that member to the other colour.  The search is one worklist of pending
-  branches (node, colour), blue on top; each node keeps its own painted
-  vertices and tables, so nothing is ever undone.  A red branch is
-  skipped when its blue twin yielded nothing and every edge on its vertex
-  already has both colours.
+  vertex, blue before red, and each assignment is propagated (`paint`).
 - key: at each branch leaf, the next k vertices are enumerated.
 - block: the top t vertices vary inside a block of 2**t colourings held as
   one big-int bit pattern.
 
-The split (t, k) is chosen per instance and read by `_proper_blocks` alone:
-_split names _DEFAULT_SPLIT = (16, 6) or _WIDE_SPLIT = (15, 8), which moves
-a branch vertex into the key, and _stages fits the pair to the vertex
-count.  The wide pair is taken when it leaves branch vertices, every edge
-has at least two members above them, and there are at least 2**8 edges:
-then propagation can never force or prune a branch, and the tree would
-only fold the same edges again under each sibling.
-
-An edge's red side is monochromatic on the block colourings where its block
-members are all red: those that contain its block-member mask S.  Red sides
-are ORed into a red table keyed by their key members, blue sides into a
-blue table.  A key group of at least t sides is closed in one go: a bitset
-with bit S set per side, then t rounds that each add block bit b to every
-colouring in it that lacks b.  A blue side is monochromatic on the subsets
-of the complement of S, so blue groups close downwards from those.  Smaller
-groups AND the colour patterns of each side's block members, sharing AND
-prefixes between neighbouring sides.
-
-Each edge is filed once, as its block-member mask S under its branch
-members and then its key.  The tables are built down the branch tree.  As
-soon as a node is painted, it starts from its parent's tables and folds in
-the edges whose branch members now all lie below its lowest free branch
-vertex, one test per set of branch members, unless they include one of the
-other colour.  A leaf reads every key from subset ORs: the red table's over
-the subsets of the key, the blue table's over the subsets of its
-complement.  The tables alone rule out colourings that contradict a vertex
-that propagation forced, since the edge that forced it is in them.
+`_split` chooses the split (t, k) per instance, and `_proper_blocks` alone
+reads it.  A red and a blue table map each key to the block colourings on
+which some edge is monochromatic.  They are built down the branch tree, and
+each leaf reads every key from them.
 
 Leaves, keys and blocks come out in lex order (vertex 0 first, blue before
 red).  `enumerate_proper` counts every proper block or lists its
 colourings as red masks (ints, like edges), while `is_two_colourable` stops
 at the first one and narrows it to its lex-first colouring.  Up to 23
 vertices there is no branch vertex and the search is one leaf (18 vertices
-give 2 keys).  At the default split 26 vertices give 3 branch vertices, so
-at most 8 leaves of 64 keys, and 32 give 9 and 512.  At the wide split, 26
-vertices give 2 branch vertices and 4 leaves of 256 keys, and 32 give 8
-and 256.  Random 7-edges on 26 vertices, as the alteration samples them,
-always take the wide split; random 8-edges on 32 take it unless an edge
-has 7 or 8 members among the 9 vertices below the key, as in about a
-quarter of the alteration's samples.
-
-`enumerate_proper` refuses more than ENUM_LIMIT = 32 vertices, and a
-listing stops with an error once it would hold more than LIST_LIMIT = 2**23
-colourings; neither bounds the decision.
+give 2 keys).  The default split (16, 6) gives 26 vertices 3 branch
+vertices, so at most 8 leaves of 64 keys, and 32 vertices 9 branch
+vertices and 512 leaves of 64 keys.  The wide split (15, 8) gives 26
+vertices 2 branch vertices and 4 leaves of 256 keys, and 32 vertices 8
+branch vertices and 256 leaves of 256 keys.  Random 7-edges on 26
+vertices, as the alteration samples them, always take the wide split;
+random 8-edges on 32 take it unless an edge has 7 or 8 members among the 9
+vertices below the key, as in about a quarter of the alteration's samples.
 """
 
 from __future__ import annotations
@@ -77,17 +44,14 @@ ENUM_LIMIT = 32
 # Listed colourings, complements included, at about 50 bytes each.
 LIST_LIMIT = 1 << 23
 
-# The split (block bits, key bits): 2 colours x 2**6 keys x 8 KiB patterns
-# is 1 MiB per branch node, less the patterns a node shares with its parent.
+# The (block bits, key bits) pairs that _split chooses from.  A branch
+# node's two tables hold 2**k patterns of 2**t bits each: 1 MiB at the
+# default pair and 2 MiB at the wide one, less what it shares with its parent.
 _DEFAULT_SPLIT = (16, 6)
-# The split for instances whose branch vertices propagation cannot use:
-# 2 colours x 2**8 keys x 4 KiB patterns is 2 MiB per branch node.
 _WIDE_SPLIT = (15, 8)
 
 # An edge as _or_by_key folds it: (S, key), where S holds its block members
-# as block bits and key its key members as key bits.  Its red side is
-# monochromatic on the block colourings that contain S, its blue side on
-# those inside the complement of S.
+# as block bits and key its key members as key bits.
 Side = tuple[int, int]
 
 
@@ -207,9 +171,10 @@ def _split(h: Hypergraph) -> tuple[int, int]:
     edges as a wide leaf has keys; else _DEFAULT_SPLIT.
 
     Painting such branch vertices never leaves an edge with one free member
-    or none, so propagation forces and prunes nothing.  A wide leaf reads
-    2**8 keys where a default leaf reads 2**6, which fewer edges do not
-    repay.
+    or none, so propagation forces and prunes nothing, and the branch tree
+    would only fold the same edges again under each sibling.  A wide leaf
+    reads 2**8 keys where a default leaf reads 2**6, which fewer edges do
+    not repay.
     """
     t, k = _WIDE_SPLIT
     key_base = h.v - t - k
@@ -348,11 +313,13 @@ def _proper_blocks(h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     # whose lowest free branch vertex is `reached` (key_base at a leaf), and
     # its tables with the buckets in tops[:reached] folded in: its parent's
     # tables plus the buckets whose highest branch member lies in between,
-    # folded as soon as it is painted.  A leaf's tables hold every edge
-    # whose branch members share one colour, and that alone rules out the
-    # colourings that contradict a vertex propagation forced: the earliest
-    # forced vertex such a colouring gets wrong was forced by an edge whose
-    # other members all agree with it, so it is monochromatic.
+    # folded as soon as it is painted.  A node keeps its own state, so
+    # nothing is undone on the way back up, and its tables are freed with
+    # its last pending branch.  A leaf's tables hold every edge whose branch
+    # members share one colour, and that alone rules out the colourings that
+    # contradict a vertex propagation forced: the earliest forced vertex
+    # such a colouring gets wrong was forced by an edge whose other members
+    # all agree with it, so it is monochromatic.
     # `work` holds the pending branches (node, as_red, yielded), each one
     # painting the node's vertex `reached`, blue on top, with the number of
     # blocks yielded when they were pushed; the root is the empty

@@ -4,10 +4,12 @@ Everything in this module is immutable and exact.  No floating point enters
 any value that downstream code compares, accumulates, or serializes.
 
 `Hypergraph` and `DyadicValue` (like `Colouring` and `AlterationParams`
-elsewhere) are `__slots__` classes on `_Value`: each `__init__` validates
-and stores its fields once, and `_Value` makes them immutable and gives
-field-wise `==`, `hash` and `repr`, as a frozen dataclass would, without
-importing `dataclasses` when the package loads.
+elsewhere) are `__slots__` classes on `_Value`, not tuples: each `__init__`
+validates and stores its fields once, and `_Value` makes them immutable and
+gives field-wise `==`, `hash` and `repr`, as a frozen dataclass would,
+without importing `dataclasses` when the package loads.  The plain result
+records (`EnumerationReport`, `AlterationReport`, `DesignCheckResult`,
+`CheckEntry`, `VerificationReport`) are `typing.NamedTuple`s.
 """
 
 from __future__ import annotations
@@ -59,16 +61,8 @@ class _Value:
         return type(self), self._values()
 
 
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient C(a, b); zero when b > a.
-
-    Raises ValueError on negative arguments.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    if b > a:
-        return 0
-    return math.comb(a, b)
+# Exact C(a, b): zero when b > a, ValueError on a negative argument.
+binomial = math.comb
 
 
 @total_ordering

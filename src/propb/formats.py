@@ -9,19 +9,10 @@ than collapsed.  The vertex count may not exceed ``MAX_VERTICES`` (4096):
 each edge is held as a v-bit mask, so the cap bounds the memory one edge
 line can claim.
 
-Readers accept edge lines in any order.  Text and masks are converted by
-table, not vertex by vertex: a writer lays all masks out as one byte string
-and maps each byte column through a table of pre-joined names.  A reader
-takes a document in canonical token layout (the header on line 1, then edge
-lines of canonical vertex names joined by single spaces, each ending in a
-newline) column by column: each chunk of lines is split into tokens at once
-and mapped to vertex bits, and each run of lines of one size is cut into
-its columns, checked for strict increase column against column and summed
-into masks.  Any other text, and any canonical-looking text with a fault,
-is read again by the line walk, which alone reads loose input (comments,
-blank lines, tabs, CRLF, tokens such as ``007``) and names the faulty line.
-A canonical document's masks arrive in canonical order and are kept without
-sorting, so reading and writing one are linear in its length.
+Readers accept edge lines in any order.  Reading and writing a canonical
+document are linear in its length: `serialize` and `_read_columns` convert
+whole columns by table, not vertex by vertex, and a canonical document's
+masks arrive in canonical order, which `Hypergraph` keeps without sorting.
 """
 
 from __future__ import annotations
@@ -77,8 +68,8 @@ def parse(text: str) -> Hypergraph:
 
     Comment and blank lines are skipped.  Edge lines must be strictly
     increasing, in range, of size >= 2, unique, and as many as the header
-    promises.  A document in canonical token layout is read column by
-    column; anything else, and every fault, goes to the line walk.
+    promises.  A document in canonical token layout is read by
+    `_read_columns`; anything else, and every fault, goes to `_walk_lines`.
     """
     h = _read_columns(text)
     return h if h is not None else _walk_lines(text)
@@ -87,11 +78,13 @@ def parse(text: str) -> Hypergraph:
 def _read_columns(text: str) -> Hypergraph | None:
     """The hypergraph of a faultless document in canonical token layout, else None.
 
-    Each chunk of edge lines is joined and split into tokens in one go and
-    mapped to vertex bits; a token the table lacks (an empty one too) is a
-    miss.  In a run of lines of k tokens, column i is bits[i::k] of the run:
-    each line increases strictly when each column is below the next, and
-    then its mask is its row's sum.
+    Canonical token layout is the header on line 1, then edge lines of
+    canonical vertex names joined by single spaces, every line ending in a
+    newline.  Each chunk of edge lines is joined and split into tokens in
+    one go and mapped to vertex bits; a token the table lacks (an empty one
+    too) is a miss.  In a run of lines of k tokens, column i is bits[i::k]
+    of the run: each line increases strictly when each column is below the
+    next, and then its mask is its row's sum.
     """
     lines = text.split("\n")
     if lines.pop() or not lines:  # no line, or the last one lacks its newline
@@ -131,7 +124,11 @@ def _read_columns(text: str) -> Hypergraph | None:
 
 
 def _walk_lines(text: str) -> Hypergraph:
-    """Read any document line by line; a fault raises DocumentError naming its line."""
+    """Read any document line by line; a fault raises DocumentError naming its line.
+
+    This walk alone reads loose input: comments, blank lines, tabs, CRLF and
+    non-canonical vertex names.
+    """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -156,7 +153,7 @@ def _walk_lines(text: str) -> Hypergraph:
 
     # Every token is read by `int` (so ``007`` and ``+1`` are vertices 7 and
     # 1), and the range is checked after the order check, as the messages
-    # promise.  Canonical text is read by `_read_columns` before this walk.
+    # promise.
     masks: list[int] = []
     seen: set[int] = set()
     for lineno, line in rows[1:]:

@@ -172,6 +172,22 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypat
     ]
 
 
+def readme_block(heading):
+    """The lines of the first fenced block under a README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n") :]
+    body = section[section.index("\n", section.index("```")) + 1 :]
+    return body[: body.index("```")].splitlines()
+
+
+def test_readme_names_every_command_and_module():
+    commands = [line.split()[1] for line in readme_block("Command line")]
+    assert commands == list(COMMANDS)
+    modules = [line.split()[0] for line in readme_block("Layout") if line.startswith("  ")]
+    package = Path(__file__).resolve().parents[1] / "src" / "propb"
+    assert sorted(modules) == sorted(p.name for p in package.glob("*.py"))
+
+
 def test_alteration_exhaustion_is_exit_1(capsys):
     code, _, err = run(
         ["alteration", "--n", "4", "--seed", "13", "--strict", "--max-retries", "0"], capsys

@@ -688,6 +688,18 @@ def test_split_widens_only_where_propagation_is_idle():
             assert (t, k) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
             assert v - t - k <= 1 or v == 24
     assert colouring._split(sampled_edges(6, 0)) == DEFAULT_SPLIT
+    # The module docstring's figures: branch vertices, leaves and keys per
+    # leaf at each split.
+    figures = {
+        (DEFAULT_SPLIT, 26): (3, 8, 64),
+        (DEFAULT_SPLIT, 32): (9, 512, 64),
+        (wide, 26): (2, 4, 256),
+        (wide, 32): (8, 256, 256),
+    }
+    for (split, v), stated in figures.items():
+        t, k = colouring._stages(v, *split)
+        branch = v - t - k - 1
+        assert (branch, 1 << branch, 1 << k) == stated
 
 
 def test_decision_on_named_uncolourables():
