@@ -2,9 +2,9 @@
 
 The blue sets of the 120 proper colourings of the order-4 affine plane
 form a 3-(16,8,12) design: every triple of points lies in exactly 12 of
-the 120 blocks.  The checker is exhaustive over all t-subsets, so a
-counterexample is returned whenever the count is uneven, as happens for
-the 60 blocking edges (vertex 0 lies in all of them).
+the 120 blocks.  The checker is exact, so a counterexample is returned
+whenever the count is uneven, as happens for the 60 blocking edges
+(vertex 0 lies in all of them).
 """
 
 from propb import affine_plane_gf4, derive_h8, design_check, enumerate_proper, fano

@@ -44,8 +44,6 @@ from propb.constructions import (
     affine_plane_gf4,
     derive_h8,
     fano,
-    gf4_add,
-    gf4_mul,
     paper_example,
     seymour_toft,
     triangle,
@@ -81,8 +79,6 @@ __all__ = [
     "erdos_edge_count",
     "expected_survivor_count",
     "fano",
-    "gf4_add",
-    "gf4_mul",
     "halved_edge_count",
     "is_edge_critical",
     "is_proper",

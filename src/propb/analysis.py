@@ -31,8 +31,11 @@ class DesignCheckResult(NamedTuple):
 def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> DesignCheckResult:
     """Count how many blocks cover each t-subset of the points.
 
-    Blocks must be duplicate-free and all the same size >= t.  Exhaustive
-    over all C(point_count, t) subsets, so exact by construction.
+    Blocks must be duplicate-free and all the same size >= t.  Subsets are
+    compared in lex order with {0..t-1}.  If no block covers it, the answer
+    is the first covered subset: the lowest t points of some block.
+    Otherwise each subset before the first that differs is covered, so for
+    B blocks at most B*C(block_size, t) + 1 subsets are counted.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -54,17 +57,21 @@ def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> D
             if not 0 <= p < point_count:
                 raise ValueError(f"point {p} out of range")
 
-    masks = [mask_of(b) for b in families]
     lam: int | None = None
     counterexample: frozenset[int] | None = None
-    for subset in combinations(range(point_count), t):
-        smask = mask_of(subset)
-        count = sum(1 for bm in masks if bm & smask == smask)
-        if lam is None:
-            lam = count
-        elif count != lam:
-            lam, counterexample = None, frozenset(subset)
-            break
+    first = min(sorted(b)[:t] for b in families)
+    if first != list(range(t)):
+        counterexample = frozenset(first)
+    else:
+        masks = [mask_of(b) for b in families]
+        for subset in combinations(range(point_count), t):
+            smask = mask_of(subset)
+            count = sum(1 for bm in masks if bm & smask == smask)
+            if lam is None:
+                lam = count
+            elif count != lam:
+                lam, counterexample = None, frozenset(subset)
+                break
     return DesignCheckResult(
         t=t,
         point_count=point_count,

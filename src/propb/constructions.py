@@ -12,32 +12,13 @@ from propb.colouring import enumerate_proper, pair_opposites
 from propb.core import Hypergraph, make_hypergraph, union
 
 # GF(4) with elements 0, 1, w, w+1 encoded as 0, 1, 2, 3.  Addition is xor;
-# multiplication follows from w*w = w + 1.
+# _GF4_MUL[a][b] is the product a*b, which follows from w*w = w + 1.
 _GF4_MUL = (
     (0, 0, 0, 0),
     (0, 1, 2, 3),
     (0, 2, 3, 1),
     (0, 3, 1, 2),
 )
-
-
-def _check_gf4(x: int) -> None:
-    if not 0 <= x <= 3:
-        raise ValueError("GF(4) elements are encoded as 0..3")
-
-
-def gf4_add(a: int, b: int) -> int:
-    """Field addition (characteristic 2, so addition is xor)."""
-    _check_gf4(a)
-    _check_gf4(b)
-    return a ^ b
-
-
-def gf4_mul(a: int, b: int) -> int:
-    """Field multiplication."""
-    _check_gf4(a)
-    _check_gf4(b)
-    return _GF4_MUL[a][b]
 
 
 def triangle() -> Hypergraph:
@@ -88,7 +69,7 @@ def affine_plane_gf4() -> Hypergraph:
     lines = []
     for a in range(4):
         for b in range(4):
-            lines.append({4 * x + gf4_add(gf4_mul(a, x), b) for x in range(4)})
+            lines.append({4 * x + (_GF4_MUL[a][x] ^ b) for x in range(4)})
     for c in range(4):
         lines.append({4 * c + y for y in range(4)})
     return make_hypergraph(16, lines)

@@ -19,7 +19,7 @@ from collections import Counter
 from functools import total_ordering
 from typing import TYPE_CHECKING, Any, Iterable
 
-from propb._bits import bit_indices
+from propb._bits import bit_indices, mask_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -217,12 +217,10 @@ def make_hypergraph(v: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
         members = set(edge)
         if len(members) < 2:
             raise ValueError(f"edge {sorted(members)} has fewer than 2 distinct vertices")
-        mask = 0
         for u in members:
             if not 0 <= u < v:
                 raise ValueError(f"vertex {u} out of range for v={v}")
-            mask |= 1 << u
-        masks.append(mask)
+        masks.append(mask_of(members))
     return Hypergraph(v, tuple(masks))
 
 

@@ -1,5 +1,7 @@
 """Design counting, edge-criticality, and the bundled example's fact sheet."""
 
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -63,6 +65,66 @@ def test_design_validation():
         design_check([{0, 5}], 3, 1)
     with pytest.raises(ValueError, match="point count must be nonnegative"):
         design_check([{0, 1}], -1, 1)
+
+
+def scan_every_subset(blocks, point_count, t):
+    """Reference: count every t-subset in lex order until one differs from the first."""
+    masks = [sum(1 << p for p in b) for b in blocks]
+    lam = None
+    for subset in combinations(range(point_count), t):
+        smask = sum(1 << p for p in subset)
+        count = sum(1 for bm in masks if bm & smask == smask)
+        if lam is None:
+            lam = count
+        elif count != lam:
+            return None, frozenset(subset)
+    return lam, None
+
+
+def design_cases():
+    rng = random.Random(7)
+    for p in range(11):
+        for k in range(p + 1):
+            complete = [set(b) for b in combinations(range(p), k)]
+            for t in range(k + 1):
+                yield complete, p, t
+                for _ in range(3):
+                    yield rng.sample(complete, rng.randint(1, len(complete))), p, t
+                # blocks drawn on fewer points, then moved onto the highest ones
+                for _ in range(3):
+                    low = rng.randint(k, p)
+                    family = [set(b) for b in combinations(range(low), k)]
+                    family = rng.sample(family, rng.randint(1, len(family)))
+                    yield [{u + p - low for u in b} for b in family], p, t
+
+
+def test_design_check_agrees_with_a_scan_of_every_subset():
+    cases = 0
+    for blocks, p, t in design_cases():
+        result = design_check(blocks, p, t)
+        assert (result.lam, result.counterexample) == scan_every_subset(blocks, p, t), (blocks, p, t)
+        cases += 1
+    assert cases == 2002
+
+
+def test_design_check_answers_on_the_blocking_family():
+    # recorded from the subset-by-subset scan
+    expected = {
+        1: [1],
+        2: [1, 2],
+        3: [1, 2, 3],
+        4: [0, 1, 2, 4],
+        5: [0, 1, 2, 4, 5],
+        6: [0, 1, 2, 4, 5, 6],
+        7: [0, 1, 2, 4, 5, 6, 11],
+        8: [0, 1, 2, 4, 5, 6, 11, 15],
+    }
+    h8 = derive_h8(affine_plane_gf4())
+    assert design_check(h8.edges, 16, 0).lam == 60
+    for t, counterexample in expected.items():
+        result = design_check(h8.edges, 16, t)
+        assert result.lam is None
+        assert result.counterexample == frozenset(counterexample)
 
 
 def test_named_hypergraphs_are_edge_critical():

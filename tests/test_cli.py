@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from propb import (
+    Hypergraph,
     affine_plane_gf4,
     derive_h8,
     make_hypergraph,
@@ -219,6 +220,18 @@ def test_design_check_fail(tmp_path, capsys):
     assert code == 1
     assert "counterexample:" in out
     assert out.rstrip().endswith("status: FAIL")
+
+
+def test_design_check_on_blocks_above_4080_idle_points(tmp_path, capsys):
+    # no block covers {0, 1}, so the answer is the lowest points of a block,
+    # found without a scan over the C(4096, t) subsets before it
+    h8 = derive_h8(affine_plane_gf4())
+    shifted = Hypergraph(4096, tuple(m << 4080 for m in h8.edge_masks))
+    path = write_doc(tmp_path, "shifted-h8.txt", serialize(shifted))
+    for t, counterexample in ((2, "4080 4081"), (3, "4080 4081 4082")):
+        code, out, _ = run(["design-check", path, "--t", str(t)], capsys)
+        assert code == 1
+        assert f"counterexample: {counterexample}\n" in out
 
 
 def test_design_check_bad_t_is_exit_2(tmp_path, capsys):
