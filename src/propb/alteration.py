@@ -1,9 +1,10 @@
 """Randomized construction of non-2-colourable hypergraphs with small weight.
 
-`run_alteration` is the construction.  The rest of the module is its exact
-arithmetic: the monochromatic-edge probabilities and the expected survivor
-count are rationals, the weights dyadic, and the classical edge count an
-integer ceiling taken in fixed point.
+`run_alteration` is the construction, and its parameters and trace are
+records.  The rest of the module is its exact arithmetic: the
+monochromatic-edge probabilities and the expected survivor count are
+rationals, the weights dyadic, and the classical edge count an integer
+ceiling taken in fixed point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from propb._bits import bit_indices
 from propb.colouring import ENUM_LIMIT, Colouring, enumerate_proper
-from propb.core import DyadicValue, Hypergraph, _Value, binomial, q_value, union
+from propb.core import DyadicValue, Hypergraph, binomial, q_value, union
 from propb.formats import MAX_VERTICES
 
 if TYPE_CHECKING:
@@ -133,12 +134,9 @@ def sample_uniform_edges(v: int, n: int, m: int, seed: int) -> Hypergraph:
     return Hypergraph(v, tuple(masks))
 
 
-class AlterationParams(_Value):
-    """Derived parameters of one pipeline run."""
+class AlterationParams(NamedTuple):
+    """Derived parameters of one pipeline run; `for_edge_size` builds and checks them."""
 
-    __slots__ = (
-        "n", "v", "m_prime", "big_edge_size", "survivor_threshold", "seed", "max_retries", "strict"
-    )
     n: int
     v: int
     m_prime: int
@@ -147,25 +145,6 @@ class AlterationParams(_Value):
     seed: int
     max_retries: int
     strict: bool
-
-    def __init__(
-        self,
-        n: int,
-        v: int,
-        m_prime: int,
-        big_edge_size: int,
-        survivor_threshold: int,
-        seed: int,
-        max_retries: int,
-        strict: bool,
-    ) -> None:
-        if big_edge_size < 2:
-            raise ValueError("blocking edges need at least 2 vertices")
-        if v != 2 * big_edge_size:
-            raise ValueError("vertex count must be twice the blocking edge size")
-        values = (n, v, m_prime, big_edge_size, survivor_threshold, seed, max_retries, strict)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def for_edge_size(

@@ -3,13 +3,15 @@
 Everything in this module is immutable and exact.  No floating point enters
 any value that downstream code compares, accumulates, or serializes.
 
-`Hypergraph` and `DyadicValue` (like `Colouring` and `AlterationParams`
-elsewhere) are `__slots__` classes on `_Value`, not tuples: each `__init__`
-validates and stores its fields once, and `_Value` makes them immutable and
-gives field-wise `==`, `hash` and `repr`, as a frozen dataclass would,
-without importing `dataclasses` when the package loads.  The plain result
-records (`EnumerationReport`, `AlterationReport`, `DesignCheckResult`,
-`CheckEntry`, `VerificationReport`) are `typing.NamedTuple`s.
+`_Value` is for values built from outside input: `Hypergraph` and
+`DyadicValue` (and `Colouring` elsewhere) are `__slots__` classes on it,
+not tuples, because each `__init__` validates and stores its fields once.
+`_Value` makes them immutable and gives field-wise `==`, `hash` and
+`repr`, as a frozen dataclass would, without importing `dataclasses` when
+the package loads.  Derived records, which the package builds itself
+(`AlterationParams`, `EnumerationReport`, `AlterationReport`,
+`DesignCheckResult`, `CheckEntry`, `VerificationReport`), are
+`typing.NamedTuple`s, so each compares equal to the tuple of its fields.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import groupby, repeat
 from operator import lt
 
+from propb._bits import mask_of
 from propb.core import Hypergraph
 
 
@@ -53,12 +54,18 @@ def serialize(h: Hypergraph) -> str:
     """Canonical text form; parse(serialize(h)) == h.
 
     Column i holds byte i of every mask; it is named through one table in
-    a single pass, and row j of the columns joins to edge j's line.
+    a single pass, and row j of the columns joins to edge j's line.  A
+    column of zero bytes names nothing, so it is skipped: edges on the top
+    vertices of a wide document build and join only the tables they use.
     """
     masks = h.edge_masks
     width = (max(masks, default=0).bit_length() + 7) // 8
     data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    columns = [map(_byte_names(i).__getitem__, data[i::width]) for i in range(width)]
+    columns = [
+        map(_byte_names(i).__getitem__, column)
+        for i in range(width)
+        if any(column := data[i::width])
+    ]
     lines = [line[1:] for line in map("".join, zip(*columns))]
     return "\n".join([f"p {h.v} {h.edge_count}", *lines]) + "\n"
 
@@ -170,7 +177,7 @@ def _walk_lines(text: str) -> Hypergraph:
             prev = key
         if keys[0] < 0 or keys[-1] >= v:
             raise DocumentError(f"line {lineno}: vertex index out of range")
-        mask = sum(1 << u for u in keys)
+        mask = mask_of(keys)
         if mask in seen:
             raise DocumentError(f"line {lineno}: duplicate edge line")
         seen.add(mask)

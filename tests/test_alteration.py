@@ -252,16 +252,29 @@ def test_params_validation():
     with pytest.raises(ValueError, match="above the vertex cap"):
         AlterationParams.for_edge_size(2000, seed=0)
     assert AlterationParams.for_edge_size(90, seed=0).v == 4050
-    with pytest.raises(ValueError):
-        AlterationParams(
-            n=4, v=9, m_prime=61, big_edge_size=4, survivor_threshold=16,
-            seed=0, max_retries=50, strict=False,
-        )
-    with pytest.raises(ValueError, match="blocking edges need at least 2 vertices"):
-        AlterationParams(
-            n=1, v=2, m_prime=1, big_edge_size=1, survivor_threshold=2,
-            seed=0, max_retries=50, strict=False,
-        )
+
+
+# for_edge_size(n, seed=0) as (n, v, m_prime, big_edge_size, survivor_threshold,
+# seed, max_retries, strict), recorded when AlterationParams was a slots class.
+PINNED_PARAMS = [
+    (2, 4, 4, 2, 4, 0, 50, False),
+    (3, 6, 17, 3, 8, 0, 50, False),
+    (4, 8, 61, 4, 16, 0, 50, False),
+    (5, 14, 189, 7, 128, 0, 50, False),
+    (6, 18, 543, 9, 512, 0, 50, False),
+    (7, 26, 1478, 13, 8192, 0, 50, False),
+    (8, 32, 3859, 16, 65536, 0, 50, False),
+    (90, 4050, 2361644831974192910178837708446, 2025, 1 << 2025, 0, 50, False),
+]
+
+
+@pytest.mark.parametrize("fields", PINNED_PARAMS, ids=[f"n={f[0]}" for f in PINNED_PARAMS])
+def test_params_are_pinned(fields):
+    params = AlterationParams.for_edge_size(fields[0], seed=0)
+    assert params == fields
+    assert params._fields == (
+        "n", "v", "m_prime", "big_edge_size", "survivor_threshold", "seed", "max_retries", "strict"
+    )
 
 
 def test_run_builds_uncolourable_hypergraphs():

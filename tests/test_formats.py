@@ -12,6 +12,7 @@ from propb import (
     Hypergraph,
     affine_plane_gf4,
     check_line,
+    derive_h8,
     fano,
     make_hypergraph,
     paper_example,
@@ -76,6 +77,36 @@ def hypergraphs(draw):
 def test_random_round_trips(h):
     assert serialize(h) == reference_serialize(h)
     assert parse(serialize(h)) == h
+
+
+def high_byte_hypergraphs(rng, count):
+    """Random edges inside one to three random bytes of a wide vertex range."""
+    for _ in range(count):
+        v = 8 * rng.randrange(1, MAX_VERTICES // 8 + 1)
+        spots = rng.sample(range(v // 8), rng.randrange(1, min(v // 8, 3) + 1))
+        pool = [u for i in spots for u in range(8 * i, 8 * i + 8)]
+        edges = [rng.sample(pool, rng.randrange(2, 7)) for _ in range(rng.randrange(1, 12))]
+        yield make_hypergraph(v, edges)
+
+
+def test_serialize_names_only_the_nonzero_byte_columns():
+    paper = tuple(m << 4080 for m in paper_example().edge_masks)
+    h8 = tuple(m << 4080 for m in derive_h8(affine_plane_gf4()).edge_masks)
+    ci_documents = [
+        Hypergraph(MAX_VERTICES, paper),
+        Hypergraph(MAX_VERTICES, (6,) + tuple(6 | 1 << u for u in range(3, 43)) + paper),
+        Hypergraph(MAX_VERTICES, h8),
+    ]
+    cases = [*ci_documents, *high_byte_hypergraphs(random.Random(35), 60), Hypergraph(MAX_VERTICES, ())]
+    for h in cases:
+        formats._byte_names.cache_clear()
+        assert serialize(h) == reference_serialize(h)
+        nonzero = {u // 8 for m in h.edge_masks for u in bit_indices(m)}
+        assert formats._byte_names.cache_info().currsize == len(nonzero)
+    # the shifted paper example lies in the top two bytes of 512
+    formats._byte_names.cache_clear()
+    serialize(ci_documents[0])
+    assert formats._byte_names.cache_info().currsize == 2
 
 
 def test_comments_blanks_and_order_are_tolerated():

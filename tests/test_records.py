@@ -76,7 +76,7 @@ CASES = [
     ),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(CASES)]
-VALUE_TYPES = (DyadicValue, Hypergraph, Colouring, AlterationParams)
+VALUE_TYPES = (DyadicValue, Hypergraph, Colouring)
 
 
 @pytest.mark.parametrize(("cls", "fields", "text", "hashed"), CASES, ids=IDS)
