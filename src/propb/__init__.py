@@ -51,13 +51,12 @@ from propb.constructions import (
 from propb.core import (
     DyadicValue,
     Hypergraph,
-    binomial,
     make_hypergraph,
     min_edge_size,
     q_value,
     union,
 )
-from propb.formats import DocumentError, check_line, parse, serialize
+from propb.formats import DocumentError, parse, serialize
 
 __version__ = "0.1.0"
 
@@ -70,8 +69,6 @@ __all__ = [
     "RetriesExhaustedError",
     "affine_plane_gf4",
     "balanced_probability",
-    "check_line",
-    "binomial",
     "derive_h8",
     "derive_seed",
     "design_check",

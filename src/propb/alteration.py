@@ -9,12 +9,13 @@ ceiling taken in fixed point.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from propb._bits import bit_indices
 from propb.colouring import ENUM_LIMIT, Colouring, enumerate_proper
-from propb.core import DyadicValue, Hypergraph, binomial, q_value, union
+from propb.core import DyadicValue, Hypergraph, q_value, union
 from propb.formats import MAX_VERTICES
 
 if TYPE_CHECKING:
@@ -55,7 +56,7 @@ def mono_probability(v1: int, v2: int, n: int) -> Fraction:
         raise ValueError("fewer vertices than the edge size")
     from fractions import Fraction
 
-    return Fraction(binomial(v1, n) + binomial(v2, n), binomial(v, n))
+    return Fraction(math.comb(v1, n) + math.comb(v2, n), math.comb(v, n))
 
 
 def balanced_probability(v: int, n: int) -> Fraction:
@@ -93,9 +94,9 @@ def expected_survivor_count(v: int, n: int, m: int) -> Fraction:
         raise ValueError("edge count must be nonnegative")
     from fractions import Fraction
 
-    d = binomial(v, n)
+    d = math.comb(v, n)
     total = sum(
-        binomial(v, k) * (d - binomial(k, n) - binomial(v - k, n)) ** m for k in range(v + 1)
+        math.comb(v, k) * (d - math.comb(k, n) - math.comb(v - k, n)) ** m for k in range(v + 1)
     )
     return Fraction(total, d**m)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from propb._bits import bit_indices, mask_of
+from propb._bits import bit_indices
 from propb.colouring import enumerate_proper, is_two_colourable, pair_opposites
 from propb.constructions import affine_plane_gf4, derive_h8
 from propb.core import DyadicValue, Hypergraph, q_value, union
@@ -31,11 +31,12 @@ class DesignCheckResult(NamedTuple):
 def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> DesignCheckResult:
     """Count how many blocks cover each t-subset of the points.
 
-    Blocks must be duplicate-free and all the same size >= t.  Subsets are
-    compared in lex order with {0..t-1}.  If no block covers it, the answer
-    is the first covered subset: the lowest t points of some block.
-    Otherwise each subset before the first that differs is covered, so for
-    B blocks at most B*C(block_size, t) + 1 subsets are counted.
+    Blocks must be duplicate-free and all the same size >= t.  A subset's count
+    is the popcount of the AND of its points' `holders` (bit i: block i).
+    Subsets are compared in lex order with {0..t-1}.  If no block covers it,
+    the answer is the first covered subset: the lowest t points of some block.
+    Otherwise each subset before the first that differs is covered, so for B
+    blocks at most B*C(block_size, t) + 1 subsets are counted.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -52,10 +53,12 @@ def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> D
     block_size = sizes.pop()
     if t > block_size:
         raise ValueError("t exceeds the block size")
-    for b in families:
+    holders: dict[int, int] = {}
+    for i, b in enumerate(families):
         for p in b:
             if not 0 <= p < point_count:
                 raise ValueError(f"point {p} out of range")
+            holders[p] = holders.get(p, 0) | 1 << i
 
     lam: int | None = None
     counterexample: frozenset[int] | None = None
@@ -63,13 +66,13 @@ def design_check(blocks: Sequence[Iterable[int]], point_count: int, t: int) -> D
     if first != list(range(t)):
         counterexample = frozenset(first)
     else:
-        masks = [mask_of(b) for b in families]
         for subset in combinations(range(point_count), t):
-            smask = mask_of(subset)
-            count = sum(1 for bm in masks if bm & smask == smask)
+            common = (1 << len(families)) - 1
+            for p in subset:
+                common &= holders.get(p, 0)
             if lam is None:
-                lam = count
-            elif count != lam:
+                lam = common.bit_count()
+            elif common.bit_count() != lam:
                 lam, counterexample = None, frozenset(subset)
                 break
     return DesignCheckResult(

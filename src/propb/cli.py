@@ -28,7 +28,7 @@ from propb.constructions import (
     triangle,
 )
 from propb.core import Hypergraph, q_value
-from propb.formats import check_line, parse, serialize
+from propb.formats import parse, serialize
 
 CONSTRUCTIONS: dict[str, Callable[[], Hypergraph]] = {
     "triangle": triangle,
@@ -135,8 +135,9 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     report = verify_paper_example()
     print("command: verify-paper")
     print("input: builtin")
-    for entry in report.checks:
-        print(check_line(entry.name, entry.expected, entry.actual, entry.passed))
+    for name, expected, actual, passed in report.checks:
+        verdict = "yes" if passed else "no"
+        print(f"check: {name} | expected: {expected} | actual: {actual} | pass: {verdict}")
     print(f"q-exact: {report.q_total}")
     print(f"q-decimal: {report.q_total.decimal_str()}")
     good = sum(1 for entry in report.checks if entry.passed)

@@ -1,4 +1,4 @@
-"""Exact data model: hypergraphs with bitmask edges, dyadic weights, big binomials.
+"""Exact data model: hypergraphs with bitmask edges and dyadic weights.
 
 Everything in this module is immutable and exact.  No floating point enters
 any value that downstream code compares, accumulates, or serializes.
@@ -16,7 +16,6 @@ the package loads.  Derived records, which the package builds itself
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import total_ordering
 from typing import TYPE_CHECKING, Any, Iterable
@@ -61,10 +60,6 @@ class _Value:
 
     def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
         return type(self), self._values()
-
-
-# Exact C(a, b): zero when b > a, ValueError on a negative argument.
-binomial = math.comb
 
 
 @total_ordering

@@ -186,8 +186,3 @@ def _walk_lines(text: str) -> Hypergraph:
         raise DocumentError(f"header promises {m} edges, found {len(masks)}")
     return Hypergraph(v, tuple(masks))
 
-
-def check_line(name: str, expected: str, actual: str, passed: bool) -> str:
-    """One report line for a named check."""
-    verdict = "yes" if passed else "no"
-    return f"check: {name} | expected: {expected} | actual: {actual} | pass: {verdict}"

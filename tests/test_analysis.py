@@ -20,6 +20,7 @@ from propb import (
     triangle,
     verify_paper_example,
 )
+from propb.analysis import DesignCheckResult
 
 
 def blue_blocks():
@@ -105,6 +106,58 @@ def test_design_check_agrees_with_a_scan_of_every_subset():
         assert (result.lam, result.counterexample) == scan_every_subset(blocks, p, t), (blocks, p, t)
         cases += 1
     assert cases == 2002
+
+
+def design_check_by_masks(blocks, point_count, t):
+    """Reference: the per-subset scan, which tests every block mask against each subset's mask.
+
+    It keeps `design_check`'s lex order, early exit and shortcut for an
+    uncovered {0..t-1}, so the whole result must agree.
+    """
+    families = [frozenset(b) for b in blocks]
+    lam = counterexample = None
+    first = min(sorted(b)[:t] for b in families)
+    if first != list(range(t)):
+        counterexample = frozenset(first)
+    else:
+        masks = [sum(1 << p for p in b) for b in families]
+        for subset in combinations(range(point_count), t):
+            smask = sum(1 << p for p in subset)
+            count = sum(1 for bm in masks if bm & smask == smask)
+            if lam is None:
+                lam = count
+            elif count != lam:
+                lam, counterexample = None, frozenset(subset)
+                break
+    return DesignCheckResult(t, point_count, len(families), len(families[0]), lam, counterexample)
+
+
+def random_design_cases():
+    rng = random.Random(36)
+    for p in range(1, 13):
+        for k in range(1, min(p, 6) + 1):
+            complete = list(combinations(range(p), k))
+            above_zero = list(combinations(range(1, p), k))
+            for t in range(k + 1):
+                for _ in range(3):
+                    yield rng.sample(complete, rng.randint(1, min(len(complete), 40))), p, t
+                # no block holds point 0, so {0..t-1} is uncovered when t >= 1
+                if above_zero:
+                    yield rng.sample(above_zero, rng.randint(1, min(len(above_zero), 10))), p, t
+
+
+def test_design_check_agrees_with_the_per_subset_scan():
+    plane = affine_plane_gf4().edges
+    cases = [*random_design_cases()]
+    cases += [(plane, 16, t) for t in (1, 2, 3, 4)]
+    cases += [(blue_blocks(), 16, t) for t in (2, 3, 4)]
+    cases.append((fano().edges, 7, 2))
+    failed = 0
+    for blocks, p, t in cases:
+        result = design_check(blocks, p, t)
+        assert result == design_check_by_masks(blocks, p, t), (blocks, p, t)
+        failed += result.lam is None
+    assert (len(cases), failed) == (937, 621)
 
 
 def test_design_check_answers_on_the_blocking_family():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from propb import (
+    DyadicValue,
     Hypergraph,
     affine_plane_gf4,
     derive_h8,
@@ -18,6 +19,7 @@ from propb import (
     serialize,
     triangle,
 )
+from propb.analysis import CheckEntry, VerificationReport
 from propb.cli import COMMANDS, build_parser, cli
 
 
@@ -252,6 +254,15 @@ def test_verify_paper(capsys):
     assert "q-decimal: 1.484375\n" in out
     assert "checks-passed: 10/10\n" in out
     assert out.rstrip().endswith("status: PASS")
+
+
+def test_verify_paper_prints_a_failed_check(capsys, monkeypatch):
+    report = VerificationReport((CheckEntry("weight", "a", "b", False),), DyadicValue(95, 6))
+    monkeypatch.setattr("propb.cli.verify_paper_example", lambda: report)
+    code, out, _ = run(["verify-paper"], capsys)
+    assert code == 1
+    assert "check: weight | expected: a | actual: b | pass: no" in out.splitlines()
+    assert out.rstrip().endswith("status: FAIL")
 
 
 def test_stdout_is_deterministic(capsys):

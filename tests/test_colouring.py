@@ -36,6 +36,37 @@ def census_oracle(h):
     return len(reds), reds
 
 
+def column_oracle(h):
+    """Census by whole columns, sharing no code with the kernel.
+
+    Vertex 0 is fixed blue; colouring x of the other vertices paints vertex
+    u red iff bit u - 1 of x is set.  Vertex u's red column is the int whose
+    bit x says so, written out as a string, and its blue column is the
+    complement.  An edge is monochromatic on the AND of its members' red
+    columns or of their blue ones.  The proper colourings with vertex 0 blue
+    are the complement of the union; their complements have vertex 0 red.
+    Returns the count and the sorted red masks.
+    """
+    n = 1 << (h.v - 1)
+    full = (1 << n) - 1
+    red = [0]  # vertex 0 is blue everywhere
+    for u in range(1, h.v):
+        half = 1 << (u - 1)
+        red.append(int(("1" * half + "0" * half) * (n >> u), 2))
+    blue = [full ^ column for column in red]
+    mono = 0
+    for edge in h.edges:
+        on_red, on_blue = full, full
+        for u in edge:
+            on_red &= red[u]
+            on_blue &= blue[u]
+        mono |= on_red | on_blue
+    proper = full ^ mono
+    xs = [x for x, bit in enumerate(reversed(f"{proper:b}")) if bit == "1"]
+    reds = [x << 1 for x in xs] + [((1 << h.v) - 1) ^ (x << 1) for x in xs]
+    return 2 * proper.bit_count(), sorted(reds)
+
+
 def lex_first_oracle(h):
     """Red mask of the first proper colouring in lex order, or None.
 
@@ -115,6 +146,39 @@ def test_enumerate_matches_per_colouring_oracle():
         report = enumerate_proper(h, materialize=True)
         assert report.total_proper == total
         assert list(report.red_masks) == sorted(reds)
+
+
+def column_oracle_cases():
+    """Connected 16- and 18-vertex documents of the paper and alteration
+    workloads: the paper example and its 80 single-edge deletions, and for
+    run_alteration(6, s), s = 0 and 1, the output, the output less its first
+    blocking edge, the output less the first blocking edge it cannot lose
+    (recorded), and its sampled edges h1."""
+    h = paper_example()
+    yield h
+    for i in range(h.edge_count):
+        yield Hypergraph(h.v, h.edge_masks[:i] + h.edge_masks[i + 1 :])
+    for seed, essential in ((0, 5), (1, 93)):
+        out, report = run_alteration(6, seed)
+        yield out
+        for blocking in (report.h2.edge_masks[0], report.h2.edge_masks[essential]):
+            yield Hypergraph(out.v, [m for m in out.edge_masks if m != blocking])
+        yield report.h1
+
+
+def test_census_matches_the_column_oracle_at_16_and_18_vertices():
+    totals = []
+    for h in column_oracle_cases():
+        total, reds = column_oracle(h)
+        assert enumerate_proper(h).total_proper == total
+        assert list(enumerate_proper(h, materialize=True).red_masks) == reds
+        totals.append((h.v, total))
+    assert totals[0] == (16, 0)
+    assert sum(total for _, total in totals[1:81]) == 12120
+    assert totals[81:] == [
+        (18, 0), (18, 0), (18, 2), (18, 426),  # seed 0: output, less h2[0], less h2[5], h1
+        (18, 0), (18, 0), (18, 2), (18, 492),  # seed 1: output, less h2[0], less h2[93], h1
+    ]
 
 
 def test_enumerate_count_is_even_with_any_edge():

@@ -12,7 +12,6 @@ from propb import (
     Colouring,
     DyadicValue,
     Hypergraph,
-    binomial,
     fano,
     is_edge_critical,
     make_hypergraph,
@@ -26,32 +25,6 @@ from propb import (
     union,
 )
 from propb._bits import bit_indices, mask_of
-
-
-def pascal_rows(limit):
-    """Independent binomial oracle: additive Pascal recurrence."""
-    rows = [[1]]
-    for a in range(1, limit + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, a)] + [1])
-    return rows
-
-
-def test_binomial_matches_pascal_recurrence_up_to_64():
-    rows = pascal_rows(64)
-    for a in range(65):
-        for b in range(a + 1):
-            assert binomial(a, b) == rows[a][b]
-
-
-def test_binomial_out_of_range():
-    assert binomial(4, 7) == 0
-    assert binomial(0, 0) == 1
-    assert binomial(8, 4) == 70
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 dyadics = st.builds(

@@ -11,7 +11,6 @@ from propb import (
     DocumentError,
     Hypergraph,
     affine_plane_gf4,
-    check_line,
     derive_h8,
     fano,
     make_hypergraph,
@@ -410,11 +409,3 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(DocumentError, match="line 3"):
         parse("# comment\np 3 1\n0\n")
     assert issubclass(DocumentError, ValueError)
-
-
-def test_check_line_rendering():
-    assert (
-        check_line("weight", "95/2^6", "95/2^6", True)
-        == "check: weight | expected: 95/2^6 | actual: 95/2^6 | pass: yes"
-    )
-    assert check_line("weight", "a", "b", False).endswith("| pass: no")
