@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from propb._bits import bit_indices
 from propb.colouring import ENUM_LIMIT, Colouring, enumerate_proper
 from propb.core import DyadicValue, Hypergraph, q_value, union
-from propb.formats import MAX_VERTICES
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -158,19 +157,13 @@ class AlterationParams(NamedTuple):
         v is twice that, so half the vertices always carry one colour and a
         blocking edge can be carved from the majority class.  Negative seeds
         are rejected: random.Random seeds on abs(seed), so -s would repeat s.
-        So is an n whose v exceeds the document cap `MAX_VERTICES`.
+        An n outside 2..90 is refused by `halved_edge_count`.
         """
-        if n < 2:
-            raise ValueError("edge size must be at least 2")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         if max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
         big = max(2, (n * n + 3) // 4)
-        if 2 * big > MAX_VERTICES:
-            raise ValueError(
-                f"edge size {n} needs {2 * big} vertices, above the vertex cap ({MAX_VERTICES})"
-            )
         return cls(
             n=n,
             v=2 * big,

@@ -5,9 +5,9 @@ edge per line as strictly increasing 0-based vertex indices separated by
 single spaces.  Lines starting with ``#`` are comments; writers never emit
 them.  Files are canonical: newline-terminated lines, no trailing
 whitespace, edges in canonical order, duplicate edge lines rejected rather
-than collapsed.  The vertex count may not exceed ``MAX_VERTICES`` (4096):
-each edge is held as a v-bit mask, so the cap bounds the memory one edge
-line can claim.
+than collapsed.  The vertex count may not exceed ``MAX_VERTICES`` (4096),
+and the cap binds `parse` and `serialize` alike: each edge is held as a
+v-bit mask, so the cap bounds the memory one edge line can claim.
 
 Readers accept edge lines in any order.  Reading and writing a canonical
 document are linear in its length: `serialize` and `_read_columns` convert
@@ -58,6 +58,8 @@ def serialize(h: Hypergraph) -> str:
     column of zero bytes names nothing, so it is skipped: edges on the top
     vertices of a wide document build and join only the tables they use.
     """
+    if h.v > MAX_VERTICES:
+        raise DocumentError(f"vertex count {h.v} exceeds the cap of {MAX_VERTICES}")
     masks = h.edge_masks
     width = (max(masks, default=0).bit_length() + 7) // 8
     data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))

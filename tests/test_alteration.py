@@ -31,6 +31,7 @@ from propb import (
 from propb import alteration
 from propb._bits import bit_indices, mask_of
 from propb.alteration import _blocks_every_survivor
+from propb.formats import MAX_VERTICES
 
 
 def test_mono_probability_values():
@@ -241,17 +242,19 @@ def test_params_for_edge_size():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AlterationParams.for_edge_size(1, seed=0)
-    with pytest.raises(ValueError):
         AlterationParams.for_edge_size(4, seed=0, max_retries=-1)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         AlterationParams.for_edge_size(3, seed=-5)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         run_alteration(3, -5)
-    # 2 * ceil(2000**2 / 4) vertices; rejected before 2.0 ** n overflows
-    with pytest.raises(ValueError, match="above the vertex cap"):
-        AlterationParams.for_edge_size(2000, seed=0)
     assert AlterationParams.for_edge_size(90, seed=0).v == 4050
+    # for_edge_size has no check on n of its own: the edge count's 2..90
+    # refuses every n whose 2 * ceil(n*n / 4) vertices exceed the cap
+    for n in range(2, 91):
+        assert AlterationParams.for_edge_size(n, seed=0).v <= MAX_VERTICES
+    for n in (-3, 0, 1, 91, 2000):
+        with pytest.raises(ValueError, match="outside 2..90"):
+            AlterationParams.for_edge_size(n, seed=0)
 
 
 # for_edge_size(n, seed=0) as (n, v, m_prime, big_edge_size, survivor_threshold,

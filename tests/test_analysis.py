@@ -1,8 +1,10 @@
 """Design counting, edge-criticality, and the bundled example's fact sheet."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -16,6 +18,8 @@ from propb import (
     fano,
     is_edge_critical,
     make_hypergraph,
+    paper_example,
+    run_alteration,
     seymour_toft,
     triangle,
     verify_paper_example,
@@ -193,6 +197,42 @@ def test_redundant_edge_is_reported():
 def test_criticality_requires_uncolourable_input():
     with pytest.raises(ValueError):
         is_edge_critical(make_hypergraph(3, [{0, 1}]))
+
+
+def expected_ordered_2_chains(h):
+    """Pluhar's count: ordered pairs (e, f) meeting in one vertex x, last in e and first in f.
+
+    Under a uniformly random vertex order such a pair is a chain with
+    chance (|e|-1)!(|f|-1)!/(|e|+|f|-1)!, so the expectation is exact.
+    """
+    masks = h.edge_masks
+    sizes = [m.bit_count() for m in masks]
+    pairs = Counter()
+    for e, a in zip(masks, sizes):
+        for f, b in zip(masks, sizes):
+            common = e & f  # an edge meets itself in at least 2 vertices
+            if common and not common & common - 1:
+                pairs[a, b] += 1
+    return sum(
+        Fraction(factorial(a - 1) * factorial(b - 1) * count, factorial(a + b - 1))
+        for (a, b), count in pairs.items()
+    )
+
+
+def test_every_uncolourable_hypergraph_expects_an_ordered_2_chain():
+    # an order with no ordered 2-chain 2-colours H (Pluhar 2009), so an
+    # uncolourable H expects at least one under a random order
+    pinned = {
+        triangle: 1,
+        fano: Fraction(7, 5),
+        seymour_toft: Fraction(92, 35),
+        paper_example: Fraction(232, 77),
+    }
+    for build, expected in pinned.items():
+        assert expected_ordered_2_chains(build()) == expected
+    for n in range(2, 7):
+        for seed in (0, 1):
+            assert expected_ordered_2_chains(run_alteration(n, seed)[0]) >= 1
 
 
 def test_verification_all_green():

@@ -347,9 +347,10 @@ def test_negative_seed_is_one_error_line(capsys):
 
 
 def test_hostile_edge_size_is_one_error_line(capsys):
-    code, out, err = run(["alteration", "--n", "2000", "--seed", "0"], capsys)
-    assert (code, out) == (2, "")
-    assert one_error_line(err) == "error: edge size 2000 needs 2000000 vertices, above the vertex cap (4096)"
+    for n in ("2000", "1"):
+        code, out, err = run(["alteration", "--n", n, "--seed", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == f"error: edge size {n} is outside 2..90, where the edge count is exact"
 
 
 STDLIB_ONLY = """

@@ -57,6 +57,10 @@ def test_named_round_trips():
         assert parse(doc) == h
         assert serialize(parse(doc)) == doc
     assert serialize(Hypergraph(0, ())) == "p 0 0\n"
+    # the cap binds the writer as it binds the reader
+    for h in (Hypergraph(MAX_VERTICES + 1, ()), Hypergraph(MAX_VERTICES + 1, (3 << MAX_VERTICES - 1,))):
+        with pytest.raises(DocumentError, match="exceeds the cap of 4096"):
+            serialize(h)
 
 
 @st.composite
