@@ -11,6 +11,7 @@ to stderr so identical runs stay byte-identical on the comparison surface.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -38,6 +39,11 @@ CONSTRUCTIONS: dict[str, Callable[[], Hypergraph]] = {
     "h8": lambda: derive_h8(affine_plane_gf4()),
     "paper-example": paper_example,
 }
+
+
+# Help and usage wrap at 78 columns whatever the terminal, so stdout depends
+# on argv alone.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 def _read(path: str) -> Hypergraph:
@@ -191,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propb",
         description="Exact 2-colourability workbench for non-uniform hypergraphs.",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, formatter_class=_FORMATTER)
         add_arguments(p)
         p.set_defaults(func=handler)
     return parser
@@ -204,7 +211,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in COMMANDS:
         name = argv[0]
         _, add_arguments, handler = COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"propb {name}")
+        parser = argparse.ArgumentParser(prog=f"propb {name}", formatter_class=_FORMATTER)
         add_arguments(parser)
         parser.set_defaults(command=name, func=handler)
         args, rest = parser.parse_known_args(argv[1:])

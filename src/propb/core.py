@@ -67,9 +67,10 @@ class DyadicValue(_Value):
     """Nonnegative rational numerator / 2**exponent in canonical form.
 
     Canonical means the numerator is odd or zero (and a zero value has
-    exponent 0), so structural equality is value equality.  Addition,
-    subtraction, and comparison are exact integer arithmetic; `__lt__` and
-    the value equality give the other comparisons.
+    exponent 0), so structural equality is value equality.  Addition and
+    comparison are exact integer arithmetic; `__lt__` and the value equality
+    give the other comparisons.  `as_fraction()` and `decimal_str()` are the
+    exact ways out.
     """
 
     __slots__ = ("numerator", "exponent")
@@ -105,14 +106,6 @@ class DyadicValue(_Value):
         a, b, e = self._aligned(other)
         return DyadicValue(a + b, e)
 
-    def __sub__(self, other: "DyadicValue") -> "DyadicValue":
-        if not isinstance(other, DyadicValue):
-            return NotImplemented
-        a, b, e = self._aligned(other)
-        if a < b:
-            raise ValueError("dyadic subtraction would go negative")
-        return DyadicValue(a - b, e)
-
     def __lt__(self, other: "DyadicValue") -> bool:
         if not isinstance(other, DyadicValue):
             return NotImplemented
@@ -123,9 +116,6 @@ class DyadicValue(_Value):
         from fractions import Fraction
 
         return Fraction(self.numerator, 1 << self.exponent)
-
-    def __float__(self) -> float:
-        return float(self.as_fraction())
 
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"

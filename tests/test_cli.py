@@ -429,7 +429,6 @@ def test_commands_table_covers_every_command():
 @pytest.mark.parametrize("argv", NAMED_ARGV, ids=" ".join)
 def test_narrowed_parser_parses_like_the_full_one(argv, capsys, monkeypatch):
     """`cli` answers a named call as `build_parser().parse_args` does."""
-    monkeypatch.setenv("COLUMNS", "80")
     seen = []
     for name, (text, add_arguments, _) in list(COMMANDS.items()):
         # One recorder per command, so `func` also says which command ran.
@@ -451,14 +450,31 @@ def test_narrowed_parser_parses_like_the_full_one(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", UNNAMED_ARGV, ids=" ".join)
-def test_cli_without_a_command_first_answers_as_the_full_parser(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_cli_without_a_command_first_answers_as_the_full_parser(argv, capsys):
     code, out, err = parse_outcome(build_parser(), argv, capsys)
     assert run(argv, capsys) == (code, out, err)
     assert code in (0, 2)
     usage = out if code == 0 else err
     assert usage.startswith("usage: propb [-h]")
     assert "{construct,q,check,count,derive-h8,alteration,design-check,verify-paper}" in usage
+
+
+# Every help text and two usage errors: what argparse would wrap to the terminal.
+HELP_AND_USAGE_ARGV = [["-h"], *([name, "-h"] for name in COMMANDS), ["check"], ["no-such-command"]]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ARGV, ids=" ".join)
+def test_help_and_usage_do_not_depend_on_the_terminal_width(argv, capsys, monkeypatch):
+    outcomes = {}
+    for columns in (None, "40", "80", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run(argv, capsys)
+        err = "".join(line for line in err.splitlines(True) if not line.startswith("elapsed-seconds: "))
+        outcomes[columns] = (code, out, err)
+    assert all(outcome == outcomes["80"] for outcome in outcomes.values())
 
 
 def test_full_parser_errors_name_the_command_argument(capsys):
