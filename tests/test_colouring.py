@@ -701,54 +701,51 @@ def test_decision_past_the_enumeration_limit():
     assert time.perf_counter() - started < budget
 
 
-def test_split_widens_only_where_propagation_is_idle():
-    """_split takes the wide split where it has branch vertices, no edge has
-    at most one member above them, and there are at least 2**8 edges, one
-    per key of a wide leaf.  It keeps the default wherever propagation can
-    force or prune a wide branch, and for fewer edges."""
+def propagates_at(h, split):
+    """True when the split leaves branch vertices and some edge has at most
+    one member above them, so painting them can force or prune."""
+    key_base = h.v - sum(colouring._stages(h.v, *split))
+    return key_base > 1 and any(sum(u >= key_base for u in e) <= 1 for e in h.edges)
+
+
+def test_split_widens_with_branch_vertices_and_enough_edges():
+    """_split takes the wide split where it leaves branch vertices and there
+    are at least 2**8 edges, one per key of a wide leaf, whether or not
+    propagation is idle there.  It keeps the default for fewer edges, and
+    wherever the wide split leaves no branch vertex."""
     wide = colouring._WIDE_SPLIT
     dense = 1 << wide[1]
-
-    def default(h):
-        return colouring._stages(h.v, *DEFAULT_SPLIT)
-
-    def propagates(h, split):
-        key_base = h.v - sum(colouring._stages(h.v, *split))
-        return key_base > 1 and any(sum(u >= key_base for u in e) <= 1 for e in h.edges)
-
-    # Random 7- and 8-edges, sampled and with their blocking edges added.
-    # The n=8 seed-0 sample has an edge that would propagate at the default
-    # split, but none at the wide one.
+    # Random 7- and 8-edges, sampled and with their blocking edges added,
+    # and dense random instances.  The last two propagate at the wide split:
+    # the n=8 seed-32 sample has an 8-edge with 7 members below the wide
+    # key, and 8 of 284 random 3-edges on 26 vertices have 2 or 3 members
+    # below the wide key.
     widened = [sampled_edges(7, 0), sampled_edges(7, 1), sampled_edges(8, 5), sampled_edges(8, 0)]
     widened += [BRANCH_CASES[0], BRANCH_CASES[2], run_alteration(8, 5)[0]]
-    widened.append(random_uniform(32, 6, 700, 3))
-    assert propagates(sampled_edges(8, 0), DEFAULT_SPLIT)
+    widened += [random_uniform(32, 6, 700, 3), sampled_edges(8, 32), random_uniform(26, 3, 300, 1)]
+    assert [propagates_at(h, wide) for h in widened] == [False] * 8 + [True] * 2
     for h in widened:
-        assert len(h.edge_masks) >= dense and not propagates(h, wide)
+        assert len(h.edge_masks) >= dense
         assert colouring._split(h) == colouring._stages(h.v, *wide) == wide
-    # The n=8 seed-32 sample has an 8-edge with 7 members below the wide
-    # key; about a quarter of n=8 samples have one with 7 or 8.
-    kept = [sampled_edges(8, 32), random_uniform(32, 4, 150, 4)]
+    # Fewer edges than a wide leaf has keys, on 24 to 4096 vertices.
+    kept = [random_uniform(32, 4, 150, 4)]
     kept += [h for h, _ in PAST_LIMIT_CASES]
     kept += [scattered_components(seed)[0] for seed in range(64) if seed % 8 >= 5]
-    # The stars on 24 vertices have no wide branch vertex, and two of the
-    # 16 on 25 and 26 vertices leave the wide branch vertices idle.
-    assert sum(propagates(h, wide) for h in kept) == 2 + 7 + 14
     for h in kept:
-        assert propagates(h, wide) or len(h.edge_masks) < dense
-        assert colouring._split(h) == default(h) == DEFAULT_SPLIT
+        assert len(h.edge_masks) < dense
+        assert colouring._split(h) == DEFAULT_SPLIT
     # Up to 23 vertices there is no branch vertex at the default split, and
-    # at 24 none at the wide one, so nothing widens, even where no edge has
-    # a member below the block.
+    # at 24 none at the wide one, so nothing widens, however many edges.
     for v in range(25):
         cases = [Hypergraph(v, ())]
         if v >= 3:
             cases += [make_hypergraph(v, [{v - 2, v - 1}]), random_uniform(v, 3, 5, v)]
         if v == 24:
             cases.append(random_uniform(v, 8, 400, v))
+            assert len(cases[-1].edge_masks) >= dense
         for h in cases:
             assert colouring._split(h) == DEFAULT_SPLIT
-            t, k = default(h)
+            t, k = colouring._stages(h.v, *DEFAULT_SPLIT)
             assert (t, k) == (min(max(v - 1, 0), 16), min(max(v - t - 1, 0), 6))
             assert v - t - k <= 1 or v == 24
     assert colouring._split(sampled_edges(6, 0)) == DEFAULT_SPLIT
@@ -764,6 +761,42 @@ def test_split_widens_only_where_propagation_is_idle():
         t, k = colouring._stages(v, *split)
         branch = v - t - k - 1
         assert (branch, 1 << branch, 1 << k) == stated
+
+
+def planted_mixed(v, m, seed):
+    """v vertices, m edges of 4, 6 or 8 members, proper under a hidden
+    colouring."""
+    rng = random.Random(seed)
+    red = rng.getrandbits(v)
+    edges = set()
+    while len(edges) < m:
+        edge = rng.sample(range(v), rng.choice((4, 6, 8)))
+        if 0 < sum(red >> u & 1 for u in edge) < len(edge):
+            edges.add(frozenset(edge))
+    return make_hypergraph(v, edges)
+
+
+def test_wide_split_with_propagation_matches_the_default(monkeypatch):
+    """Dense colourable instances on which _split picks the wide split and
+    painting the branch vertices forces and prunes: the count, the listing
+    and the lex-first witness equal those at the default split."""
+    wide = colouring._WIDE_SPLIT
+
+    def answers(h):
+        reds = enumerate_proper(h, materialize=True).red_masks
+        return enumerate_proper(h).total_proper, reds, is_two_colourable(h)
+
+    cases = [planted_mixed(26, 300, 2), planted_mixed(28, 300, 0), planted_mixed(32, 500, 1)]
+    at_wide = []
+    for h in cases:
+        assert colouring._split(h) == wide and propagates_at(h, wide)
+        at_wide.append(answers(h))
+    force_split(monkeypatch, *DEFAULT_SPLIT)
+    assert [answers(h) for h in cases] == at_wide
+    for h, (total, reds, decision) in zip(cases, at_wide):
+        first = min(reds, key=lambda m: format(m, f"0{h.v}b")[::-1])
+        assert (total, decision) == (len(reds), (True, Colouring(h.v, first)))
+    assert [total for total, _, _ in at_wide] == [446, 600, 20]
 
 
 def test_decision_on_named_uncolourables():
